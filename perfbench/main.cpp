@@ -1,7 +1,7 @@
 // perfbench: the repository's end-to-end benchmark program.
 //
 //   perfbench --workload <paper_figures|large_n|campaign_query> --seed <n>
-//             --seconds <s> --trace <0|1> [--tiny] [--spans <file>] [--check-spans]
+//             --seconds <s> --trace <0|1> [--tiny] [--spans <file>]
 //
 // Sets the workload up several times (setup_s is their median), then repeats
 // its complete solution until --seconds are used, checking every output gate
@@ -40,11 +40,9 @@ struct Options {
   bool trace = false;
   bool tiny = false;
   std::string spans;
-  bool check_spans = false;
   std::string golden;
   std::string describe;
   std::string scratch;
-  std::size_t setup_rounds = 5;
 };
 
 /// Median, quartiles and sample count of one metric.
@@ -189,11 +187,9 @@ Options parse(int argc, char** argv) {
   cli.add_option("trace", "0 = end-to-end metrics, 1 = per-layer metrics", "0");
   cli.add_flag("tiny", "toy sizes (self-test)");
   cli.add_option("spans", "span file written by --trace 1", "");
-  cli.add_flag("check-spans", "re-parse the span file and check its structure");
   cli.add_option("golden", "pinned digests", "perfbench/golden.json");
   cli.add_option("describe", "git describe of the measured tree", "unknown");
   cli.add_option("scratch", "scratch root for stores, campaigns and sockets", ".bench_build/tmp");
-  cli.add_option("setup-rounds", "set-up repetitions behind setup_s", "5");
   cli.parse(argc, argv);
   if (cli.help_requested()) {
     std::cout << cli.help_text();
@@ -206,11 +202,9 @@ Options parse(int argc, char** argv) {
   options.trace = cli.uint_value("trace") != 0;
   options.tiny = cli.flag("tiny");
   options.spans = cli.string_value("spans");
-  options.check_spans = cli.flag("check-spans");
   options.golden = cli.string_value("golden");
   options.describe = cli.string_value("describe");
   options.scratch = cli.string_value("scratch");
-  options.setup_rounds = std::max<std::size_t>(1, cli.uint_value("setup-rounds"));
   if (!(options.seconds > 0.0)) throw manet::ConfigError("--seconds must be > 0");
   if (options.spans.empty()) {
     options.spans = ".bench_build/spans/" + options.workload + "-" +
@@ -238,9 +232,10 @@ int run(int argc, char** argv, std::int64_t process_start) {
   Gate gate(options, options.workload);
 
   // Set-up, several times: the first round counts from process start.
+  const std::size_t setup_rounds = options.tiny ? 1 : 5;
   std::vector<double> setup_s;
   std::unique_ptr<Workload> workload;
-  for (std::size_t round = 0; round < options.setup_rounds; ++round) {
+  for (std::size_t round = 0; round < setup_rounds; ++round) {
     if (workload) workload->teardown();
     const std::int64_t start = round == 0 ? process_start : now_ns();
     workload = make_workload(options.workload, params);
@@ -364,12 +359,10 @@ int run(int argc, char** argv, std::int64_t process_start) {
     write_span_file(options.spans, options.workload, spans.records());
     std::cout << "  spans: " << spans.records().size() << " records -> " << options.spans
               << '\n';
-    if (options.check_spans) {
-      const std::string problem = check_span_file(options.spans);
-      gate.check(problem.empty() ? std::vector<std::string>{}
-                                 : std::vector<std::string>{"span file: " + problem});
-      std::cout << "  span file check: " << (problem.empty() ? "ok" : problem) << '\n';
-    }
+    const std::string problem = check_span_file(options.spans);
+    gate.check(problem.empty() ? std::vector<std::string>{}
+                               : std::vector<std::string>{"span file: " + problem});
+    std::cout << "  span file check: " << (problem.empty() ? "ok" : problem) << '\n';
   }
 
   const Repetition& reference = gate.reference();

@@ -9,8 +9,12 @@ The program is built from source with CMake into $CARGO_TARGET_DIR (default
 .bench_build). Build output goes to stderr; the benchmark's report goes to
 stdout and its last line is the JSON result.
 
+Every run must print exactly the metrics, with their units, that
+BENCHMARK.json lists for its mode; otherwise run.py exits with code 2.
+
 Extra modes:
-    --self-test   build, then run the tiny-size tests of every workload (ctest)
+    --self-test   build, then run every workload at toy size, untraced and
+                  traced; each run must pass every check
     --pin         run, then record the run's digests in perfbench/golden.json
 """
 
@@ -24,6 +28,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 GOLDEN = os.path.join(HERE, "golden.json")
+BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 
 
 def fail(message):
@@ -59,6 +64,54 @@ def describe():
     return result.stdout.strip() or "unknown"
 
 
+def load_benchmark():
+    with open(BENCHMARK) as handle:
+        return json.load(handle)
+
+
+def run_program(out, workload, seed, seconds, trace, tiny=False):
+    """Runs the benchmark program once and echoes its report. Returns the
+    report and its JSON result; exits when the program fails or its metrics
+    are not BENCHMARK.json's."""
+    build_root = os.path.dirname(out)
+    spans = "%s%s-%d.json" % ("tiny-" if tiny else "", workload, seed)
+    command = [
+        os.path.join(out, "perfbench"),
+        "--workload", workload,
+        "--seed", str(seed),
+        "--seconds", repr(seconds),
+        "--trace", str(trace),
+        "--golden", GOLDEN,
+        "--describe", describe(),
+        "--scratch", os.path.join(build_root, "tmp"),
+        "--spans", os.path.join(build_root, "spans", spans),
+    ]
+    if tiny:
+        command.append("--tiny")
+    # The library reads these; a stray value would change what is measured.
+    env = {k: v for k, v in os.environ.items() if k not in ("MANET_THREADS", "MANET_KINETIC")}
+    # A hung run is killed; a healthy one ends a few set-ups and repetitions
+    # past --seconds.
+    timeout = max(175.0, 3 * seconds + 60)
+    try:
+        result = subprocess.run(command, cwd=ROOT, env=env, timeout=timeout,
+                                stdout=subprocess.PIPE, text=True)
+    except subprocess.TimeoutExpired:
+        fail("benchmark did not finish within %g s" % timeout)
+    sys.stdout.write(result.stdout)
+    sys.stdout.flush()
+    if result.returncode != 0:
+        sys.exit(result.returncode)
+    outcome = json.loads(result.stdout.splitlines()[-1])
+    listed = load_benchmark()["per_layer" if trace else "end_to_end"]
+    expected = {metric["name"]: metric["unit"] for metric in listed}
+    printed = {name: metric["unit"] for name, metric in outcome["metrics"].items()}
+    if printed != expected:
+        wrong = sorted(set(expected.items()) ^ set(printed.items()))
+        fail("metrics differ from BENCHMARK.json (name, unit): %s" % wrong)
+    return result.stdout, outcome
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -72,38 +125,19 @@ def main():
 
     out = build()
     if args.self_test:
-        result = subprocess.run(["ctest", "--test-dir", out, "--output-on-failure"], cwd=ROOT,
-                                stdout=sys.stderr, stderr=sys.stderr)
-        sys.exit(result.returncode)
+        for workload in load_benchmark()["workloads"]:
+            for trace in (0, 1):
+                _, outcome = run_program(out, workload["name"], 7, 1, trace, tiny=True)
+                if not outcome["correct"]:
+                    fail("self-test: %s --trace %d failed a check" % (workload["name"], trace))
+        print("perfbench: self-test passed", file=sys.stderr)
+        return
     if not args.workload:
         fail("--workload is required")
 
-    build_root = os.path.dirname(out)
-    command = [
-        os.path.join(out, "perfbench"),
-        "--workload", args.workload,
-        "--seed", str(args.seed),
-        "--seconds", repr(args.seconds),
-        "--trace", str(args.trace),
-        "--golden", GOLDEN,
-        "--describe", describe(),
-        "--scratch", os.path.join(build_root, "tmp"),
-        "--spans", os.path.join(build_root, "spans",
-                                "%s-%d.json" % (args.workload, args.seed)),
-    ]
-    # The library reads these; a stray value would change what is measured.
-    env = {k: v for k, v in os.environ.items() if k not in ("MANET_THREADS", "MANET_KINETIC")}
-    try:
-        result = subprocess.run(command, cwd=ROOT, env=env, timeout=175,
-                                capture_output=args.pin, text=True)
-    except subprocess.TimeoutExpired:
-        fail("benchmark did not finish within 175 s")
+    report, _ = run_program(out, args.workload, args.seed, args.seconds, args.trace)
     if args.pin:
-        sys.stdout.write(result.stdout)
-        sys.stderr.write(result.stderr)
-        if result.returncode == 0:
-            pin(args, result.stdout)
-    sys.exit(result.returncode)
+        pin(args, report)
 
 
 def pin(args, stdout):
