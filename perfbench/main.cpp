@@ -244,26 +244,30 @@ int run(int argc, char** argv, std::int64_t process_start) {
     gate.check(failures);
   }
 
-  const auto deadline_reached = [&options](std::int64_t start, std::size_t reps,
-                                           std::size_t min_reps) {
+  // `rounds` counts the warm-up too: it is part of the measured window.
+  const auto deadline_reached = [&options](std::int64_t start, std::size_t rounds,
+                                           std::size_t min_rounds) {
     const double elapsed = seconds_between(start, now_ns());
-    const double per_rep = elapsed / static_cast<double>(reps);
-    return reps >= min_reps && elapsed + per_rep > options.seconds;
+    const double per_round = elapsed / static_cast<double>(rounds);
+    return rounds >= min_rounds && elapsed + per_round > options.seconds;
   };
   const std::size_t min_reps = options.tiny ? 1 : kInputSets;
-
 
   std::vector<Repetition> untraced;
   std::vector<Repetition> traced;
   std::vector<LayerMetrics> layers;
   SpanLog spans;
   const std::int64_t reps_start = now_ns();
+  // Warm-up: one repetition of input set 0, checked like every other but not
+  // timed, so first-touch costs (page faults, fresh scratch directories, cold
+  // caches) stay out of the medians.
+  gate.untraced(0, workload->run(0));
   if (!options.trace) {
     do {
       const std::size_t input = untraced.size() % kInputSets;
       untraced.push_back(workload->run(input));
       gate.untraced(input, untraced.back());
-    } while (!deadline_reached(reps_start, untraced.size(), min_reps));
+    } while (!deadline_reached(reps_start, untraced.size() + 1, min_reps + 1));
   } else {
     bool extras_done = false;
     do {
@@ -281,7 +285,7 @@ int run(int argc, char** argv, std::int64_t process_start) {
         gate.count(extras);
         extras_done = true;
       }
-    } while (!deadline_reached(reps_start, traced.size(), options.tiny ? 1 : 2));
+    } while (!deadline_reached(reps_start, traced.size() + 1, options.tiny ? 2 : 3));
   }
   const double rss_mb = peak_rss_mb();
   workload->teardown();
