@@ -1,7 +1,9 @@
 // Kinetic vs batch EMST over a mobile trace (the whole-trace analogue of
-// perf_mst's single-solve comparison): one random-waypoint trajectory at the
-// paper's l = 1024 region, solved step by step twice — once re-solving from
-// scratch every step (EmstEngine) and once incrementally repairing
+// perf_mst's single-solve comparison): random-waypoint trajectories in a
+// 2-D l = 1024 region, plus the paper's own Figure 2/3 points (waypoint and
+// drunkard at n = 32, 64, 128 in l = n^2, where the kinetic engine scans as
+// one cell), each solved step by step twice — once re-solving from scratch
+// every step (EmstEngine) and once incrementally repairing
 // (KineticEmstEngine) — with identical seeds, so both engines see the exact
 // same positions at every step.
 //
@@ -10,9 +12,11 @@
 // into an FNV-1a digest and exits nonzero when the digests differ — a
 // speedup that moves a single bit of the simulation output is a bug, not a
 // speedup. It also counts heap allocations over the second half of the
-// kinetic trace (global operator new replacement): the steady-state
-// allocations per advance() must be 0 (tests/alloc_discipline_test.cpp pins
-// the same number).
+// kinetic trace (global operator new replacement): a warm incremental
+// advance() makes 0 (tests/alloc_discipline_test.cpp pins that). The paper
+// drunkard rows rebuild at a doubled radius every few dozen steps, and such
+// a rebuild can still grow a pooled buffer past its earlier high-water mark
+// a few times in the second half.
 
 #include <chrono>
 #include <cstdio>
@@ -20,6 +24,7 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geometry/box.hpp"
@@ -88,6 +93,8 @@ std::uint64_t fold_tree(std::span<const WeightedEdge> tree, std::uint64_t hash) 
 struct TraceConfig {
   std::size_t n;
   std::size_t steps;
+  double side;
+  bool drunkard;  ///< paper drunkard instead of paper waypoint
 };
 
 struct EngineRun {
@@ -101,7 +108,8 @@ struct EngineRun {
 template <typename Solve>
 EngineRun run_trace(const TraceConfig& config, const Box2& box, std::uint64_t seed,
                     Solve&& solve) {
-  const MobilityConfig mobility = MobilityConfig::paper_waypoint(box.side());
+  const MobilityConfig mobility = config.drunkard ? MobilityConfig::paper_drunkard(box.side())
+                                                  : MobilityConfig::paper_waypoint(box.side());
   Rng rng(seed);
   auto positions = uniform_deployment(config.n, box, rng);
   const auto model = make_mobility_model<2>(mobility, box);
@@ -145,30 +153,45 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double side = 1024.0;  // the paper's 2-D region
-  const Box2 box(side);
+  const double side = 1024.0;  // the large-n rows' 2-D region
   // The acceptance point is {4096, 10000}: a full paper-scale trace at a
   // node count where the batch re-solve clearly dominates the step cost.
   // {65536, 131072} extend the sweep into the Wang-et-al. critical-
   // connectivity scaling regime (n >= 10^5) that the SoA + SIMD kernel layer
   // (geometry/distance_kernels.hpp) targets; fewer steps keep the batch
-  // reference affordable there.
-  std::vector<TraceConfig> sweep = {{1024, 3000},  {4096, 10000}, {16384, 1200},
-                                    {32768, 400},  {65536, 200},  {131072, 100}};
-  if (quick) sweep = {{1024, 300}};
+  // reference affordable there. The paper rows (l = n^2, both figure
+  // models) run in the kinetic engine's one-cell scan regime.
+  std::vector<TraceConfig> sweep;
+  for (const std::size_t n : {std::size_t{32}, std::size_t{64}, std::size_t{128}}) {
+    for (const bool drunkard : {false, true}) {
+      const std::size_t steps = quick ? 1000 : 10000;
+      sweep.push_back({n, steps, static_cast<double>(n * n), drunkard});
+    }
+  }
+  if (quick) {
+    sweep.push_back({1024, 300, side, false});
+  } else {
+    for (const auto& [n, steps] : std::vector<std::pair<std::size_t, std::size_t>>{
+             {1024, 3000}, {4096, 10000}, {16384, 1200}, {32768, 400}, {65536, 200},
+             {131072, 100}}) {
+      sweep.push_back({n, steps, side, false});
+    }
+  }
 
   bool identical = true;
 
   BenchReport report("emst_kinetic_vs_batch");
   report.add_param("d", JsonValue::number(std::size_t{2}));
-  report.add_param("l", JsonValue::number(side));
   report.add_param("seed", JsonValue::string(hex_u64(seed)));
-  report.add_param("mobility", JsonValue::string("paper random waypoint (v_max = 0.01*l, t_pause = 2000)"));
+  report.add_param("mobility",
+                   JsonValue::string("per sample: paper random waypoint (v_max = 0.01*l, "
+                                     "t_pause = 2000) or paper drunkard (m = 0.01*l)"));
   report.add_param("batch", JsonValue::string("EmstEngine (full re-solve per step)"));
   report.add_param("kinetic",
                    JsonValue::string("KineticEmstEngine (incremental repair, batch fallback)"));
 
   for (const TraceConfig& config : sweep) {
+    const Box2 box(config.side);
     EmstEngine<2> batch_engine;
     const EngineRun batch = run_trace(
         config, box, seed, [&batch_engine, &box](std::span<const Point2> positions, bool) {
@@ -188,6 +211,8 @@ int main(int argc, char** argv) {
 
     JsonValue sample = JsonValue::object();
     sample.set("n", JsonValue::number(config.n));
+    sample.set("l", JsonValue::number(config.side));
+    sample.set("mobility", JsonValue::string(config.drunkard ? "drunkard" : "waypoint"));
     sample.set("steps", JsonValue::number(config.steps));
     sample.set("batch_seconds", JsonValue::number(batch.seconds));
     sample.set("kinetic_seconds", JsonValue::number(kinetic.seconds));
@@ -199,6 +224,10 @@ int main(int argc, char** argv) {
     sample.set("radius_growths", JsonValue::number(stats.radius_growths));
     sample.set("radius_shrinks", JsonValue::number(stats.radius_shrinks));
     sample.set("boundary_crossings", JsonValue::number(stats.boundary_crossings));
+    sample.set("one_cell", JsonValue::boolean(stats.one_cell));
+    sample.set("kernel_runs", JsonValue::number(stats.kernel_runs));
+    sample.set("distance_evals", JsonValue::number(stats.distance_evals));
+    sample.set("delta_pairs", JsonValue::number(stats.delta_pairs));
     sample.set("steady_state_allocs_second_half", JsonValue::number(kinetic.steady_allocs));
     report.add_sample(std::move(sample));
   }

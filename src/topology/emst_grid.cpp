@@ -1,6 +1,8 @@
 #include "topology/emst_grid.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -32,6 +34,77 @@ EmstMetrics& emst_metrics() {
 }
 
 }  // namespace
+
+void sort_candidate_edges(std::vector<CandidateEdge>& edges, double d2_bound,
+                          std::vector<CandidateEdge>& scratch) {
+  const std::size_t size = edges.size();
+  if (size < 2) return;
+
+  // Key: floor(d2 * 2^bits / d2_bound), clamped to the top key. Double
+  // multiplication by a positive constant rounds monotonically and the
+  // clamp is monotone too, so the key never inverts the d2 order. A key
+  // range of ~64x the size keeps equal-key runs short (d2 of in-radius
+  // pairs is near uniform in 2-D) while the size sets the pass count:
+  // 1 pass below 4 edges, 2 below 2^10, 3 below 2^18, 4 from there on. A
+  // non-positive bound maps every key to 0 — one run, sorted exactly.
+  constexpr int kSpareKeyBits = 6;
+  constexpr int kDigitBits = 8;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const int key_bits = std::min(32, static_cast<int>(std::bit_width(size)) + kSpareKeyBits);
+  const int passes = (key_bits + kDigitBits - 1) / kDigitBits;
+  const double top_key = std::ldexp(1.0, key_bits) - 1.0;
+  const double scale = d2_bound > 0.0 ? std::ldexp(1.0, key_bits) / d2_bound : 0.0;
+  const auto key_of = [scale, top_key](const CandidateEdge& c) noexcept {
+    return static_cast<std::uint32_t>(std::min(c.d2 * scale, top_key));
+  };
+
+  std::array<std::uint32_t, 4 * kBuckets> hist;
+  std::fill_n(hist.begin(), static_cast<std::size_t>(passes) * kBuckets, 0u);
+  for (const CandidateEdge& c : edges) {
+    const std::uint32_t key = key_of(c);
+    for (int pass = 0; pass < passes; ++pass) {
+      ++hist[static_cast<std::size_t>(pass) * kBuckets +
+             ((key >> (kDigitBits * pass)) & (kBuckets - 1))];
+    }
+  }
+
+  scratch.resize(size);
+  CandidateEdge* src = edges.data();
+  CandidateEdge* dst = scratch.data();
+  for (int pass = 0; pass < passes; ++pass) {
+    std::uint32_t* counts = hist.data() + static_cast<std::size_t>(pass) * kBuckets;
+    // All elements share this digit: the scatter would be the identity.
+    const auto first_used =
+        std::find_if(counts, counts + kBuckets, [](std::uint32_t c) { return c != 0; });
+    if (*first_used == size) continue;
+    std::uint32_t offset = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      const std::uint32_t count = counts[b];
+      counts[b] = offset;
+      offset += count;
+    }
+    const int shift = kDigitBits * pass;
+    for (std::size_t i = 0; i < size; ++i) {
+      dst[counts[(key_of(src[i]) >> shift) & (kBuckets - 1)]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != edges.data()) edges.swap(scratch);
+
+  // Repair equal-key runs with the exact comparator. Runs are almost always
+  // length 1: one linear scan.
+  std::size_t i = 0;
+  while (i < size) {
+    const std::uint32_t key = key_of(edges[i]);
+    std::size_t j = i + 1;
+    while (j < size && key_of(edges[j]) == key) ++j;
+    if (j - i > 1) {
+      std::sort(edges.begin() + static_cast<std::ptrdiff_t>(i),
+                edges.begin() + static_cast<std::ptrdiff_t>(j), candidate_less);
+    }
+    i = j;
+  }
+}
 
 template <int D>
 double EmstEngine<D>::initial_radius(std::size_t n, double side) {
@@ -139,15 +212,10 @@ std::span<const WeightedEdge> EmstEngine<D>::solve(std::span<const Point<D>> poi
     // Filtered Kruskal over the candidates. If the radius-r graph spans, its
     // MST is a genuine MST of the complete graph: every full-MST edge weighs
     // at most the bottleneck <= r, so all of them are among the candidates.
-    std::sort(candidates_.begin(), candidates_.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.d2 != b.d2) return a.d2 < b.d2;
-                if (a.u != b.u) return a.u < b.u;
-                return a.v < b.v;
-              });
+    sort_candidate_edges(candidates_, radius * radius, sort_scratch_);
     dsu_.reset(n);
     mst_.clear();
-    for (const Candidate& c : candidates_) {
+    for (const CandidateEdge& c : candidates_) {
       if (dsu_.unite(c.u, c.v)) {
         mst_.push_back({c.u, c.v, covering_radius(c.d2)});
         if (mst_.size() + 1 == n) break;

@@ -25,6 +25,34 @@ inline double emst_initial_radius(std::size_t n, double side) noexcept {
   return side * std::pow(frac, 1.0 / static_cast<double>(D));
 }
 
+/// Candidate edge of both EMST engines (this file and
+/// topology/emst_kinetic.hpp): squared distance first so the sort key is
+/// cache-local.
+struct CandidateEdge {
+  double d2;
+  std::uint32_t u;
+  std::uint32_t v;
+};
+
+/// The strict (d2, u, v) total order filtered Kruskal runs under. (u, v) is
+/// unique per pair, so every candidate set has exactly one sorted sequence.
+inline bool candidate_less(const CandidateEdge& a, const CandidateEdge& b) noexcept {
+  if (a.d2 != b.d2) return a.d2 < b.d2;
+  if (a.u != b.u) return a.u < b.u;
+  return a.v < b.v;
+}
+
+/// Sorts `edges` into the candidate_less order; the result is exactly the
+/// std::sort sequence. Every edge must satisfy 0 <= d2 <= d2_bound (a bound
+/// that is too small costs speed, never order). Size-adaptive stable LSD
+/// radix: a monotone rescaling of d2 to a key of bit_width(size) + 6 bits
+/// (at most 32), ordered by 1-4 passes of 8-bit digits, then every run of
+/// equal keys — rare collisions and genuine d2 ties — is re-sorted with the
+/// exact comparator. `scratch` is pooled scatter space; the two vectors may
+/// trade buffers.
+void sort_candidate_edges(std::vector<CandidateEdge>& edges, double d2_bound,
+                          std::vector<CandidateEdge>& scratch);
+
 /// Per-solve diagnostics of the adaptive EMST engine, exposed for the perf
 /// bench (bench/perf_mst.cpp) and the property tests.
 struct EmstGridStats {
@@ -90,13 +118,6 @@ class EmstEngine {
   const EmstGridStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Candidate edge: squared distance first so the sort key is cache-local.
-  struct Candidate {
-    double d2;
-    std::uint32_t u;
-    std::uint32_t v;
-  };
-
   template <bool Torus>
   std::span<const WeightedEdge> solve(std::span<const Point<D>> points, double side);
 
@@ -109,7 +130,8 @@ class EmstEngine {
 
   CellGrid<D> grid_;
   UnionFind dsu_{0};
-  std::vector<Candidate> candidates_;
+  std::vector<CandidateEdge> candidates_;
+  std::vector<CandidateEdge> sort_scratch_;
   std::vector<WeightedEdge> mst_;
   std::vector<double> nn2_;
   // Dense-fallback scratch (pooled so the fallback is allocation-free too).

@@ -27,6 +27,10 @@ struct KineticMetrics {
   metrics::Counter growths = metrics::counter("kinetic.radius_growths");
   metrics::Counter shrinks = metrics::counter("kinetic.radius_shrinks");
   metrics::Counter dense = metrics::counter("kinetic.dense_traces");
+  metrics::Counter mass_moves = metrics::counter("kinetic.mass_move_rebuilds");
+  metrics::Counter kernel_runs = metrics::counter("kinetic.kernel_runs");
+  metrics::Counter distance_evals = metrics::counter("kinetic.distance_evals");
+  metrics::Counter delta_pairs = metrics::counter("kinetic.delta_pairs");
 };
 
 KineticMetrics& kinetic_metrics() {
@@ -47,13 +51,6 @@ bool environment_kinetic_default() {
 /// the value never feeds a result (both engines are bit-identical).
 // manet-lint: allow(thread-confinement) — engine-selection flag read concurrently by trace workers; it selects between two bit-identical engines and never influences any computed value
 std::atomic<int> g_kinetic_mode{-1};
-
-bool candidate_less(double a_d2, std::uint32_t a_u, std::uint32_t a_v, double b_d2,
-                    std::uint32_t b_u, std::uint32_t b_v) noexcept {
-  if (a_d2 != b_d2) return a_d2 < b_d2;
-  if (a_u != b_u) return a_u < b_u;
-  return a_v < b_v;
-}
 
 }  // namespace
 
@@ -118,9 +115,39 @@ void KineticEmstEngine<D>::rebuild_kinetic_grid(std::span<const Point<D>> points
     cells_per_axis_ = std::max<std::size_t>(1, std::min(cells_per_axis_, max_per_axis));
     near_window_ = 1;
   }
+
+  // One-cell regime. A mover's gridded scan makes one kernel run per axis-0
+  // row of its window — (2w+1)^(D-1) rows, the window clipped to the grid —
+  // and evaluates the ~n * (window cells per axis / cells per axis)^D nodes
+  // in it; with every node in one cell it makes one run over all n. In units
+  // of the kernel's per-point cost, with kScanRunCost per run, one cell is
+  // no dearer when kScanRunCost + n <= rows * kScanRunCost + window points.
+  // The constant is the measured ratio of the two costs: a least-squares fit
+  // of the per-step time difference between the two layouts on identical
+  // traces (paper drunkard and waypoint, l = n^2, n = 32..512, D = 2 and 3)
+  // against the differences in the kinetic.kernel_runs and
+  // kinetic.distance_evals counters gave ~45 ns per run and ~1.0 ns per
+  // point (AVX2, 4-vCPU x86-64 VM; ratios 46.6 and 48.2 in two runs). In
+  // 2-D that puts the cut-over near n = 200; one cell measured faster up to
+  // n = 256 and slower from n = 384 on the drunkard traces. The one-cell
+  // path also skips the per-step re-binning and snapshot, which the
+  // comparison leaves out, so the cut-over errs toward the grid. A torus
+  // grid too coarse for wrap-distinct windows (cells < 2w+1) always lands
+  // here: its window is every cell, so the gridded price exceeds n.
+  const auto span = static_cast<double>(
+      std::min(static_cast<std::size_t>(2 * near_window_ + 1), cells_per_axis_));
+  const auto nodes = static_cast<double>(n_);
+  const double rows = std::pow(span, static_cast<double>(D - 1));
+  const double window_points =
+      nodes * std::pow(span / static_cast<double>(cells_per_axis_), static_cast<double>(D));
+  one_cell_ = kScanRunCost + nodes <= rows * kScanRunCost + window_points;
+  if (one_cell_) cells_per_axis_ = 1;
+  stats_.one_cell = one_cell_;
   cell_size_ = side_ / static_cast<double>(cells_per_axis_);
   MANET_ENSURE(cells_per_axis_ == 1 ||
                cell_size_ * near_window_ >= radius_ * (1.0 - 1e-12));
+  MANET_ENSURE(!torus_ || one_cell_ ||
+               cells_per_axis_ >= static_cast<std::size_t>(2 * near_window_ + 1));
 
   total_cells_ = 1;
   for (int i = 0; i < D; ++i) total_cells_ *= cells_per_axis_;
@@ -139,7 +166,8 @@ void KineticEmstEngine<D>::rebuild_kinetic_grid(std::span<const Point<D>> points
   // allocation-free even after a radius-growth rebuild mid-trace.
   snap_.reserve(n_);
   cur_.reserve(n_);
-  near_d2_.resize(n_);
+  hit_d2_.resize(n_);
+  hit_index_.resize(n_);
   for (std::size_t p = 0; p < n_; ++p) cell_of_[p] = flat_index(cell_coords(points[p]));
 }
 
@@ -166,48 +194,49 @@ void KineticEmstEngine<D>::build_cell_snapshot() {
 template <int D>
 template <bool Torus>
 void KineticEmstEngine<D>::emit_mover_run(std::uint32_t i, const double* q,
-                                          std::size_t run_begin, std::size_t run_end,
-                                          bool direct_index) {
+                                          std::size_t run_begin, std::size_t run_end) {
   const std::size_t count = run_end - run_begin;
   if (count == 0) return;
+  ++step_runs_;
+  step_evals_ += count;
   kernels::AxisPointers<D> axes;
-  const PointStore<D>& coords = direct_index ? cur_ : snap_;
+  const PointStore<D>& coords = one_cell_ ? cur_ : snap_;
   for (int a = 0; a < D; ++a) {
     axes[static_cast<std::size_t>(a)] = coords.axis(a) + run_begin;
   }
-  double* d2 = near_d2_.data();
+  const double* d2 = hit_d2_.data();
+  const std::uint32_t* slot = hit_index_.data();
+  std::size_t hits = 0;
   if constexpr (Torus) {
-    kernels::batch_torus_squared_distance<D>(axes, count, q, side_, d2);
+    hits = kernels::batch_torus_squared_distance_within<D>(axes, count, q, side_, r2_,
+                                                           hit_index_.data(), hit_d2_.data());
   } else {
-    kernels::batch_squared_distance<D>(axes, count, q, d2);
+    hits = kernels::batch_squared_distance_within<D>(axes, count, q, r2_, hit_index_.data(),
+                                                     hit_d2_.data());
   }
-  const std::uint32_t* ids = direct_index ? nullptr : cell_ids_.data() + run_begin;
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::uint32_t j =
-        ids != nullptr ? ids[k] : static_cast<std::uint32_t>(run_begin + k);
+  // One cell: the run is all of cur_, in node order, so a slot is a node id.
+  const std::uint32_t* ids = one_cell_ ? nullptr : cell_ids_.data() + run_begin;
+  for (std::size_t h = 0; h < hits; ++h) {
+    const std::uint32_t j = ids != nullptr ? ids[slot[h]] : slot[h];
     if (j == i) continue;
     // Both endpoints moved: emit once, from the smaller id (the larger-id
     // mover skips the pair).
     if (moved_flag_[j] != 0 && j < i) continue;
-    if (d2[k] > r2_) continue;
-    changed_.push_back({d2[k], std::min(i, j), std::max(i, j)});
+    changed_.push_back({d2[h], std::min(i, j), std::max(i, j)});
   }
 }
 
 template <int D>
 template <bool Torus>
 void KineticEmstEngine<D>::scan_mover(std::uint32_t i) {
-  const int w = near_window_;
   std::array<double, static_cast<std::size_t>(D)> q;
   for (int a = 0; a < D; ++a) q[static_cast<std::size_t>(a)] = cur_.axis(a)[i];
-
-  if (Torus && cells_per_axis_ < static_cast<std::size_t>(2 * w + 1)) {
-    // Wrapped +-w offsets alias below 2w+1 cells per axis (the same
-    // breakdown CellGrid's torus fallback handles): batch over all nodes in
-    // index order, straight from cur_.
-    emit_mover_run<Torus>(i, q.data(), 0, n_, /*direct_index=*/true);
+  if (one_cell_) {
+    emit_mover_run<Torus>(i, q.data(), 0, n_);
     return;
   }
+
+  const int w = near_window_;
 
   // Axis 0 is the least-significant digit of the flat cell index, so the
   // 2w+1 window cells of one axis-0 row are contiguous both in flat index
@@ -227,12 +256,11 @@ void KineticEmstEngine<D>::scan_mover(std::uint32_t i) {
     if constexpr (Torus) {
       if (lo < 0) {
         emit_mover_run<Torus>(i, q.data(), cell_start_[row_base + static_cast<std::size_t>(lo + cells)],
-                              cell_start_[row_base + static_cast<std::size_t>(cells)], false);
+                              cell_start_[row_base + static_cast<std::size_t>(cells)]);
         lo = 0;
       } else if (hi >= cells) {
         emit_mover_run<Torus>(i, q.data(), cell_start_[row_base],
-                              cell_start_[row_base + static_cast<std::size_t>(hi - cells + 1)],
-                              false);
+                              cell_start_[row_base + static_cast<std::size_t>(hi - cells + 1)]);
         hi = cells - 1;
       }
     } else {
@@ -240,7 +268,7 @@ void KineticEmstEngine<D>::scan_mover(std::uint32_t i) {
       hi = std::min<long long>(hi, cells - 1);
     }
     emit_mover_run<Torus>(i, q.data(), cell_start_[row_base + static_cast<std::size_t>(lo)],
-                          cell_start_[row_base + static_cast<std::size_t>(hi + 1)], false);
+                          cell_start_[row_base + static_cast<std::size_t>(hi + 1)]);
   };
 
   const long long lo0 = static_cast<long long>(center[0]) - w;
@@ -282,91 +310,10 @@ void KineticEmstEngine<D>::scan_mover(std::uint32_t i) {
 }
 
 template <int D>
-void KineticEmstEngine<D>::sort_candidates(std::vector<Candidate>& a, double d2_bound) {
-  const std::size_t size = a.size();
-  if (size < kRadixCutoff) {
-    std::sort(a.begin(), a.end(), [](const Candidate& x, const Candidate& y) {
-      return candidate_less(x.d2, x.u, x.v, y.d2, y.u, y.v);
-    });
-    return;
-  }
-
-  // Stable LSD radix on a monotone 32-bit rescaling of d2: every candidate
-  // satisfies 0 <= d2 <= d2_bound, so key = floor(d2 * 2^32 / d2_bound') is
-  // a non-decreasing map into [0, 2^32) (double multiplication rounds
-  // monotonically, the product stays far below 2^53) and three 11-bit digit
-  // passes order it. Distinct d2 may collide on a key (~n^2/2^32 expected
-  // collisions); the repair scan below re-sorts equal-key runs with the
-  // exact (d2, u, v) comparator, which also puts equal-d2 duplicates into
-  // (u, v) order — so the result is exactly the unique std::sort sequence,
-  // at roughly half the scatter traffic of a full 64-bit-key radix.
-  MANET_EXPECTS(d2_bound > 0.0);
-  const double scale = 4294967296.0 / (d2_bound * (1.0 + 1e-9));
-  const auto key_of = [scale](const Candidate& c) noexcept {
-    return static_cast<std::uint32_t>(c.d2 * scale);
-  };
-
-  constexpr int kDigits = 3;  // 3 x 11 bits covers the 32-bit key
-  constexpr int kDigitBits = 11;
-  constexpr std::uint32_t kDigitMask = (1u << kDigitBits) - 1;
-  std::array<std::uint32_t, kDigits << kDigitBits> hist{};
-  for (const Candidate& c : a) {
-    const std::uint32_t key = key_of(c);
-    for (int d = 0; d < kDigits; ++d)
-      ++hist[(d << kDigitBits) + ((key >> (kDigitBits * d)) & kDigitMask)];
-  }
-
-  radix_tmp_.resize(size);
-  Candidate* src = a.data();
-  Candidate* dst = radix_tmp_.data();
-  for (int pos = 0; pos < kDigits; ++pos) {
-    std::uint32_t* counts = hist.data() + (pos << kDigitBits);
-    // All elements share this digit: the scatter would be the identity.
-    bool trivial = false;
-    for (std::size_t b = 0; b <= kDigitMask; ++b) {
-      if (counts[b] == size) {
-        trivial = true;
-        break;
-      }
-      if (counts[b] != 0) break;
-    }
-    if (trivial) continue;
-    std::uint32_t offset = 0;
-    for (std::size_t b = 0; b <= kDigitMask; ++b) {
-      const std::uint32_t count = counts[b];
-      counts[b] = offset;
-      offset += count;
-    }
-    const int shift = kDigitBits * pos;
-    for (std::size_t i = 0; i < size; ++i) {
-      dst[counts[(key_of(src[i]) >> shift) & kDigitMask]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-  if (src != a.data()) a.swap(radix_tmp_);
-
-  // Repair equal-key runs (key collisions and genuine d2 ties) with the
-  // exact comparator. Runs are almost always length 1: one linear scan.
-  std::size_t i = 0;
-  while (i < size) {
-    std::size_t j = i + 1;
-    while (j < size && key_of(a[j]) == key_of(a[i])) ++j;
-    if (j - i > 1) {
-      std::sort(a.begin() + static_cast<std::ptrdiff_t>(i),
-                a.begin() + static_cast<std::ptrdiff_t>(j),
-                [](const Candidate& x, const Candidate& y) {
-                  return candidate_less(x.d2, x.u, x.v, y.d2, y.u, y.v);
-                });
-    }
-    i = j;
-  }
-}
-
-template <int D>
 bool KineticEmstEngine<D>::run_kruskal() {
   dsu_.reset(n_);
   mst_.clear();
-  for (const Candidate& c : edges_) {
+  for (const CandidateEdge& c : edges_) {
     if (dsu_.unite(c.u, c.v)) {
       mst_.push_back({c.u, c.v, covering_radius(c.d2)});
       if (mst_.size() + 1 == n_) return true;
@@ -397,7 +344,7 @@ void KineticEmstEngine<D>::full_rebuild(std::span<const Point<D>> points,
     } else {
       grid_.for_each_pair_within(radius, collect);
     }
-    sort_candidates(edges_, radius * radius);
+    sort_candidate_edges(edges_, radius * radius, sort_scratch_);
     if (run_kruskal()) break;
     MANET_INVARIANT(radius < r_max);  // the complete graph always spans
     radius = std::min(radius * 2.0, r_max);
@@ -418,7 +365,7 @@ void KineticEmstEngine<D>::full_rebuild(std::span<const Point<D>> points,
       radius = snug;
       const auto first_outside = std::upper_bound(
           edges_.begin(), edges_.end(), radius * radius,
-          [](double r2, const Candidate& c) { return r2 < c.d2; });
+          [](double r2, const CandidateEdge& c) { return r2 < c.d2; });
       edges_.erase(first_outside, edges_.end());
     }
   }
@@ -453,7 +400,7 @@ void KineticEmstEngine<D>::maybe_shrink(std::span<const Point<D>> points) {
       r2_ = snug * snug;
       const auto first_outside = std::upper_bound(
           edges_.begin(), edges_.end(), r2_,
-          [](double r2, const Candidate& c) { return r2 < c.d2; });
+          [](double r2, const CandidateEdge& c) { return r2 < c.d2; });
       edges_.resize(static_cast<std::size_t>(first_outside - edges_.begin()));
       stats_.candidate_edges = edges_.size();
       stats_.radius = radius_;
@@ -529,12 +476,15 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
 
   // Pass 2: re-bin the nodes that crossed a cell boundary. (Harmless before
   // the mass-move decision below: a rebuild re-derives every bin anyway.)
+  // One cell has no boundaries to cross.
   std::size_t crossings = 0;
-  for (const std::uint32_t i : moved_) {
-    const std::size_t new_cell = flat_index(cell_coords(points[i]));
-    if (new_cell != cell_of_[i]) {
-      cell_of_[i] = new_cell;
-      ++crossings;
+  if (!one_cell_) {
+    for (const std::uint32_t i : moved_) {
+      const std::size_t new_cell = flat_index(cell_coords(points[i]));
+      if (new_cell != cell_of_[i]) {
+        cell_of_[i] = new_cell;
+        ++crossings;
+      }
     }
   }
   stats_.boundary_crossings += crossings;
@@ -551,13 +501,15 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
     // grid reconstruction and no radius search. (No flag reset needed: pass
     // 1 rewrites every moved_flag_ entry next step.)
     ++stats_.mass_move_rebuilds;
+    kinetic_metrics().mass_moves.increment();
     full_rebuild<Torus>(points, radius_);
     maybe_shrink<Torus>(points);
     return mst_;
   }
 
-  // Counting-sort the bins into the flat snapshot pass 3 scans.
-  build_cell_snapshot();
+  // Counting-sort the bins into the flat snapshot pass 3 scans (one cell
+  // scans cur_ directly).
+  if (!one_cell_) build_cell_snapshot();
 
   // Pass 3: re-derive every current mover-incident pair within the radius,
   // one distance evaluation each. The pool entries these supersede are not
@@ -570,8 +522,17 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
   // the pool must regain. Pairs of two moved nodes are emitted once, from
   // the smaller id.
   changed_.clear();
+  step_runs_ = 0;
+  step_evals_ = 0;
   for (const std::uint32_t i : moved_) scan_mover<Torus>(i);
   stats_.last_delta = changed_.size();
+  stats_.delta_pairs += changed_.size();
+  stats_.kernel_runs += step_runs_;
+  stats_.distance_evals += step_evals_;
+  KineticMetrics& counters = kinetic_metrics();
+  counters.delta_pairs.add(changed_.size());
+  counters.kernel_runs.add(step_runs_);
+  counters.distance_evals.add(step_evals_);
 
   // Pass 4: sort the delta, then merge it with the surviving pool entries,
   // dropping everything mover-incident (the delta holds its replacements).
@@ -580,12 +541,12 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
   // fused into the merge: every emitted candidate is offered to the forest
   // in order until the tree completes, which turns Kruskal's own full read
   // of the pool into reuse of values this loop already holds in registers.
-  sort_candidates(changed_, r2_);
+  sort_candidate_edges(changed_, r2_, sort_scratch_);
   merged_.resize(edges_.size() + changed_.size());  // upper bound; trimmed below
   dsu_.reset(n_);
   mst_.clear();
   std::size_t missing = n_ - 1;
-  const auto offer = [&](const Candidate& c) {
+  const auto offer = [&](const CandidateEdge& c) {
     if (missing != 0 && dsu_.unite(c.u, c.v)) {
       mst_.push_back({c.u, c.v, covering_radius(c.d2)});
       --missing;
@@ -593,15 +554,15 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
   };
   std::size_t out = 0;
   std::size_t superseded = 0;
-  const Candidate* delta = changed_.data();
-  const Candidate* const delta_end = delta + changed_.size();
-  for (const Candidate& c : edges_) {
+  const CandidateEdge* delta = changed_.data();
+  const CandidateEdge* const delta_end = delta + changed_.size();
+  for (const CandidateEdge& c : edges_) {
     if ((moved_flag_[c.u] | moved_flag_[c.v]) != 0) {
       ++superseded;
       continue;
     }
     while (delta != delta_end &&
-           candidate_less(delta->d2, delta->u, delta->v, c.d2, c.u, c.v)) {
+           candidate_less(*delta, c)) {
       offer(*delta);
       merged_[out++] = *delta++;
     }

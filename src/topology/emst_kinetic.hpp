@@ -27,12 +27,16 @@ struct KineticStats {
   std::size_t radius_shrinks = 0;      ///< hysteresis-triggered radius reductions
   std::size_t mass_move_rebuilds = 0;  ///< rebuilds because most nodes moved at once
   std::size_t boundary_crossings = 0;  ///< cell-grid relinks of moved points
+  std::size_t kernel_runs = 0;         ///< fused distance-kernel runs of the mover scans
+  std::size_t distance_evals = 0;      ///< points those runs evaluated
+  std::size_t delta_pairs = 0;         ///< mover-incident pairs re-derived, summed over steps
   std::size_t last_moved = 0;          ///< nodes that moved in the latest step
   std::size_t last_superseded = 0;     ///< mover-incident pool entries dropped in the latest step
   std::size_t last_delta = 0;          ///< mover-incident pairs re-derived by the latest cell scan
   std::size_t candidate_edges = 0;     ///< current candidate-set size
   double radius = 0.0;                 ///< maintained candidate radius
   bool dense_mode = false;             ///< trace is served by the embedded batch engine
+  bool one_cell = false;               ///< the scan grid is one cell (current regime)
 };
 
 /// Selects which engine run_mobile_trace drives (sim/mobile_trace.hpp).
@@ -71,23 +75,27 @@ void set_kinetic_mode(KineticMode mode) noexcept;
 ///      update per crossing) and counting-sorts the bins into a flat
 ///      start/ids snapshot — O(n + cells), a few microseconds, and the
 ///      neighborhood scans below then run over contiguous memory instead of
-///      chasing per-node links,
+///      chasing per-node links. When the scan grid is a single cell (small
+///      n, where a mover's window would cover most nodes anyway) there is
+///      nothing to re-bin or snapshot and this pass is skipped,
 ///   3. repairs the candidate-edge set under the REPAIR INVARIANT — the set
 ///      holds exactly the pairs within the maintained radius R, in (d2, u, v)
 ///      order: edges with two unmoved endpoints keep their distance and
 ///      their relative order; every edge touching a moved node is dropped,
 ///      and the cell neighborhood of each moved node (which covers its
-///      radius ball) is scanned once to re-derive all its current in-radius
-///      pairs — one distance evaluation per nearby pair, with no
+///      radius ball) is scanned once, through the fused in-radius kernel, to
+///      re-derive all its current in-radius pairs — with no
 ///      entering-vs-surviving distinction to test, and
-///   4. re-runs filtered Kruskal over the repaired set (already sorted, so
-///      no per-step O(k log k) sort).
+///   4. sorts that delta with the shared size-adaptive radix
+///      (sort_candidate_edges) and re-runs filtered Kruskal fused into the
+///      merge of the delta with the surviving pool — no full-pool sort.
 ///
 /// Fallbacks rebuild batch-style (full enumeration + sort at a doubling
 /// radius) whenever the invariant cannot be repaired cheaply: the candidate
 /// graph stops spanning (the radius must grow), most nodes crossed cell
-/// boundaries at once (teleports, fresh deployments), or the radius is far above the
-/// current bottleneck for long enough (hysteresis shrink). Dense regimes
+/// boundaries at once (teleports, fresh deployments; a one-cell grid has no
+/// boundaries and repairs those steps instead), or the radius is far above
+/// the current bottleneck for long enough (hysteresis shrink). Dense regimes
 /// (n < kDenseCutoff, or an initial radius a large fraction of the region)
 /// delegate every call to an embedded batch EmstEngine.
 ///
@@ -133,13 +141,6 @@ class KineticEmstEngine {
   const KineticStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Same layout and sort key as EmstEngine's candidate.
-  struct Candidate {
-    double d2;
-    std::uint32_t u;
-    std::uint32_t v;
-  };
-
   /// Mass-move rebuild threshold, applied twice: more than this fraction of
   /// nodes moved AND more than this fraction of the movers changed cell.
   /// Both at once mean teleport-scale displacement (the maintained radius
@@ -160,8 +161,13 @@ class KineticEmstEngine {
   static constexpr double kShrinkTrigger = 1.1;
   static constexpr double kShrinkTarget = 1.05;
   static constexpr std::size_t kShrinkPatience = 4;
-  /// Below this size the comparator sort beats the radix passes' fixed costs.
-  static constexpr std::size_t kRadixCutoff = 64;
+  /// One-cell cut-over of the scan grid: the fixed cost of one fused
+  /// kernel run (call, window-row lookup, hit-loop set-up) in units of the
+  /// kernel's per-point cost. rebuild_kinetic_grid prices a mover's gridded
+  /// scan as rows * kScanRunCost + window points and the one-cell scan as
+  /// kScanRunCost + n, and bins every node into one cell when the latter is
+  /// no dearer. See the derivation at its use.
+  static constexpr double kScanRunCost = 46.0;
 
   template <bool Torus>
   std::span<const WeightedEdge> start_impl(std::span<const Point<D>> points, double side);
@@ -174,12 +180,6 @@ class KineticEmstEngine {
   void full_rebuild(std::span<const Point<D>> points, double start_radius);
   /// Kruskal over the (sorted) candidate set; true when the tree spans.
   bool run_kruskal();
-  /// Sorts candidates into the strict (d2, u, v) total order via a stable
-  /// LSD radix on a monotone 32-bit rescaling of d2 (every candidate
-  /// satisfies d2 <= d2_bound), then repairs equal-key runs with the exact
-  /// comparator. The result is exactly the unique std::sort sequence. Uses
-  /// the pooled radix_tmp_ scratch buffer.
-  void sort_candidates(std::vector<Candidate>& a, double d2_bound);
   /// Applies the post-step radius hysteresis; may trigger a shrink rebuild.
   template <bool Torus>
   void maybe_shrink(std::span<const Point<D>> points);
@@ -190,28 +190,28 @@ class KineticEmstEngine {
   std::size_t flat_index(const std::array<std::size_t, D>& c) const noexcept;
   /// Counting-sorts cell_of_ into the flat cell_start_/cell_ids_ snapshot
   /// consumed by scan_mover, and gathers the matching SoA coordinate
-  /// snapshot (snap_) in CSR slot order. O(n + cells) per step.
+  /// snapshot (snap_) in CSR slot order. O(n + cells) per step; skipped in
+  /// the one-cell regime.
   void build_cell_snapshot();
   /// Re-derives every current in-radius pair of mover i and appends it to
-  /// changed_. The (2w+1)^D cell neighborhood of i's (current-position)
-  /// cell, where w = near_window_ satisfies w * cell_size_ >= radius_, is a
-  /// superset of i's radius ball. Axis 0 is the least-significant digit of
-  /// the flat cell index, so each axis-0 row of the window is ONE contiguous
-  /// CSR slot run (two after a torus wrap split): the squared distances of a
-  /// whole run are computed by one batched kernel call over the snap_ SoA
-  /// snapshot, then filtered in slot order. Torus grids too coarse for
-  /// wrap-distinct neighbor cells (cells_per_axis < 2w+1) batch over all
-  /// nodes instead. Cells are sized ~radius/2 (w = 2) when the region
-  /// allows, which over-scans ~(2.5/3)^D less area than radius-sized cells.
+  /// changed_. In the one-cell regime that is ONE fused kernel run over all
+  /// nodes, straight from cur_. Otherwise the (2w+1)^D cell neighborhood of
+  /// i's (current-position) cell, where w = near_window_ satisfies
+  /// w * cell_size_ >= radius_, is a superset of i's radius ball. Axis 0 is
+  /// the least-significant digit of the flat cell index, so each axis-0 row
+  /// of the window is ONE contiguous CSR slot run (two after a torus wrap
+  /// split), scanned by one fused kernel run over the snap_ SoA snapshot.
+  /// Cells are sized ~radius/2 (w = 2) when the region allows, which
+  /// over-scans ~(2.5/3)^D less area than radius-sized cells.
   template <bool Torus>
   void scan_mover(std::uint32_t i);
-  /// One batched kernel call + in-radius filter over the slot run
+  /// One fused distance + in-radius kernel run over the slot run
   /// [run_begin, run_end): candidate i (coordinates `q`) against
-  /// snap_/cell_ids_, or against cur_ directly (ids = identity) when
-  /// `direct_index` — the torus all-scan fallback.
+  /// snap_/cell_ids_, or against cur_ directly (ids = identity) in the
+  /// one-cell regime. Only the hits reach the scalar emit loop.
   template <bool Torus>
   void emit_mover_run(std::uint32_t i, const double* q, std::size_t run_begin,
-                      std::size_t run_end, bool direct_index);
+                      std::size_t run_end);
 
   // Trace configuration.
   bool started_ = false;
@@ -234,6 +234,7 @@ class KineticEmstEngine {
   std::size_t cells_per_axis_ = 0;
   std::size_t total_cells_ = 0;
   int near_window_ = 1;  ///< neighbor-cell half-window; near_window_ * cell_size_ >= radius_
+  bool one_cell_ = false;  ///< all nodes share one cell: every scan is one run over cur_
   std::vector<std::size_t> cell_of_;
   std::vector<std::uint32_t> cell_start_;
   std::vector<std::uint32_t> cell_cursor_;
@@ -251,12 +252,17 @@ class KineticEmstEngine {
   PointStore<D> cur_;
   PointStore<D> prev_;
   PointStore<D> snap_;
-  std::vector<double> near_d2_;  ///< batched-kernel d2 output, sized n
+  std::vector<double> hit_d2_;            ///< fused-kernel hit d2 output, sized n
+  std::vector<std::uint32_t> hit_index_;  ///< fused-kernel hit slot output, sized n
+  // Work of the current step's scans, added to stats_ and the metrics once
+  // per advance().
+  std::size_t step_runs_ = 0;
+  std::size_t step_evals_ = 0;
 
-  std::vector<Candidate> edges_;    ///< the invariant candidate set
-  std::vector<Candidate> changed_;  ///< recomputed + entering edges, sorted per step
-  std::vector<Candidate> merged_;   ///< merge target, swapped with edges_
-  std::vector<Candidate> radix_tmp_;  ///< scatter scratch for sort_candidates
+  std::vector<CandidateEdge> edges_;         ///< the invariant candidate set
+  std::vector<CandidateEdge> changed_;       ///< recomputed + entering edges, sorted per step
+  std::vector<CandidateEdge> merged_;        ///< merge target, swapped with edges_
+  std::vector<CandidateEdge> sort_scratch_;  ///< scatter scratch for sort_candidate_edges
   std::vector<std::uint32_t> moved_;
   std::vector<std::uint8_t> moved_flag_;
 

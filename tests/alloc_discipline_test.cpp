@@ -104,32 +104,26 @@ TEST(AllocDiscipline, MobileTraceStepLoopIsConstantAllocationPerStep) {
   EXPECT_GE(per_step, 1.0);
 }
 
-TEST(AllocDiscipline, KineticAdvanceMakesZeroSteadyStateAllocations) {
-  // The kinetic engine's discipline is stricter than the trace loop's: a
-  // warm advance() — incremental repair, no fallback — must perform ZERO
-  // heap allocations. Every buffer (grid lists, edge pool, merge scratch,
-  // DSU, retained tree) is preallocated and reused; the merge goes through
-  // the pooled merged_ buffer precisely because std::inplace_merge would
-  // allocate here.
-  const std::size_t n = 256;
-  const double side = 64.0;
+/// Heap allocations over 200 warm advance() calls of a kinetic trace of n
+/// nodes under `config` on [0, side]^2, after `warm_steps` warm-up steps
+/// that grow every pooled buffer past its high-water mark (including any
+/// radius-growth/shrink rebuilds). `one_cell` receives the scan regime.
+std::size_t count_warm_advance_allocations(std::size_t n, double side,
+                                           const MobilityConfig& config, int warm_steps,
+                                           std::uint64_t seed, bool& one_cell) {
   const Box2 box(side);
-  MobilityConfig config = MobilityConfig::paper_waypoint(side);
-  config.waypoint.p_stationary = 0.5;  // incremental path, never mass-move
   const auto model = make_mobility_model<2>(config, box);
-  Rng rng(0xA110C2ull);
+  Rng rng(seed);
   auto positions = uniform_deployment(n, box, rng);
   model->initialize(positions, rng);
 
   KineticEmstEngine<2> kinetic;
   kinetic.start(positions, box);
-  // Warm-up: grow all pooled buffers past their steady-state high-water
-  // marks (including a few radius-growth/shrink rebuilds if they happen).
-  for (int s = 0; s < 200; ++s) {
+  for (int s = 0; s < warm_steps; ++s) {
     model->step(positions, rng);
     kinetic.advance(positions);
   }
-  ASSERT_FALSE(kinetic.stats().dense_mode);
+  EXPECT_FALSE(kinetic.stats().dense_mode);
   const std::size_t repairs_before = kinetic.stats().incremental_repairs;
 
   g_news = 0;
@@ -139,9 +133,38 @@ TEST(AllocDiscipline, KineticAdvanceMakesZeroSteadyStateAllocations) {
     kinetic.advance(positions);
   }
   g_counting = false;
-  EXPECT_EQ(g_news, 0u) << "a warm kinetic advance() touched the heap";
   EXPECT_GT(kinetic.stats().incremental_repairs, repairs_before)
       << "measurement window never took the incremental path";
+  one_cell = kinetic.stats().one_cell;
+  return g_news;
+}
+
+TEST(AllocDiscipline, KineticAdvanceMakesZeroSteadyStateAllocations) {
+  // The kinetic engine's discipline is stricter than the trace loop's: a
+  // warm advance() — incremental repair, no fallback — must perform ZERO
+  // heap allocations. Every buffer (grid lists, edge pool, merge scratch,
+  // DSU, retained tree) is preallocated and reused; the merge goes through
+  // the pooled merged_ buffer precisely because std::inplace_merge would
+  // allocate here. n = 256 in a 64-wide square keeps a multi-cell scan grid.
+  MobilityConfig config = MobilityConfig::paper_waypoint(64.0);
+  config.waypoint.p_stationary = 0.5;  // incremental path, never mass-move
+  bool one_cell = true;
+  EXPECT_EQ(count_warm_advance_allocations(256, 64.0, config, 200, 0xA110C2ull, one_cell), 0u)
+      << "a warm kinetic advance() touched the heap";
+  EXPECT_FALSE(one_cell);
+}
+
+TEST(AllocDiscipline, OneCellKineticAdvanceMakesZeroSteadyStateAllocations) {
+  // The same discipline in the one-cell scan regime, at a paper point: the
+  // Figure 3 drunkard at n = 64, l = n^2, where most nodes move every step
+  // and radius-growth rebuilds are frequent.
+  const double side = 64.0 * 64.0;
+  bool one_cell = false;
+  EXPECT_EQ(count_warm_advance_allocations(64, side, MobilityConfig::paper_drunkard(side), 1000,
+                                           0xA110C4ull, one_cell),
+            0u)
+      << "a warm one-cell kinetic advance() touched the heap";
+  EXPECT_TRUE(one_cell);
 }
 
 TEST(AllocDiscipline, WarmPointStoreOperationsNeverTouchTheHeap) {

@@ -15,6 +15,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "geometry/point.hpp"
@@ -119,6 +121,128 @@ void check_torus_squared_distance() {
 TEST(BatchTorusSquaredDistance, BitIdenticalToScalar1D) { check_torus_squared_distance<1>(); }
 TEST(BatchTorusSquaredDistance, BitIdenticalToScalar2D) { check_torus_squared_distance<2>(); }
 TEST(BatchTorusSquaredDistance, BitIdenticalToScalar3D) { check_torus_squared_distance<3>(); }
+
+// ----- fused in-radius kernels --------------------------------------------
+
+/// The hits of one fused kernel call: slot indices and their d2 values.
+struct Hits {
+  std::vector<std::uint32_t> index;
+  std::vector<double> d2;
+};
+
+/// Runs a fused kernel variant `fused(index_out, d2_out) -> hit count` over
+/// buffers of `count` entries and returns the hits it reported.
+template <typename Fused>
+Hits collect_hits(std::size_t count, Fused&& fused) {
+  Hits hits;
+  hits.index.assign(count, 0xFFFFFFFFu);
+  hits.d2.assign(count, -1.0);
+  const std::size_t found = fused(hits.index.data(), hits.d2.data());
+  EXPECT_LE(found, count);
+  hits.index.resize(found);
+  hits.d2.resize(found);
+  return hits;
+}
+
+void expect_same_hits(const Hits& a, const Hits& b, const std::string& label) {
+  ASSERT_EQ(a.index.size(), b.index.size()) << label;
+  for (std::size_t h = 0; h < a.index.size(); ++h) {
+    EXPECT_EQ(a.index[h], b.index[h]) << label << " hit " << h;
+    EXPECT_TRUE(bits_equal(a.d2[h], b.d2[h])) << label << " hit " << h;
+  }
+}
+
+/// Fused kernel vs the scalar metric plus the scalar `!(d2 > r2)` filter,
+/// and — when the CPU has AVX2 — the AVX2 variant against the portable one,
+/// hit for hit. The radius is set to one lane's exact d2 so the d2 == r2
+/// boundary is always exercised, and the store includes an exact duplicate
+/// of the query (d2 == 0).
+template <int D, bool Torus>
+void check_fused_within() {
+  Rng rng(4242u + static_cast<std::uint64_t>(D) + (Torus ? 100u : 0u));
+  const double side = 10.0;
+  for (const std::size_t n : kCounts) {
+    PointStore<D> store = random_store<D>(n, 0.0, side, rng);
+    Point<D> q;
+    for (int i = 0; i < D; ++i) q.coords[static_cast<std::size_t>(i)] = rng.uniform(0.0, side);
+    if (n >= 2) store.set(1, q);
+    const auto metric = [&](std::size_t k) {
+      return Torus ? torus_squared_distance(store.get(k), q, side)
+                   : squared_distance(store.get(k), q);
+    };
+    const double r2 = n >= 1 ? metric(n / 2) : 4.0;
+
+    Hits expected;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double d2 = metric(k);
+      if (d2 > r2) continue;
+      expected.index.push_back(static_cast<std::uint32_t>(k));
+      expected.d2.push_back(d2);
+    }
+    const std::string label = "D=" + std::to_string(D) + " torus=" + std::to_string(Torus) +
+                              " n=" + std::to_string(n);
+    const auto portable = collect_hits(n, [&](std::uint32_t* index, double* d2) {
+      if constexpr (Torus) {
+        return kernels::batch_torus_squared_distance_within_portable<D>(
+            store.axes(), n, q.coords.data(), side, r2, index, d2);
+      } else {
+        return kernels::batch_squared_distance_within_portable<D>(store.axes(), n,
+                                                                  q.coords.data(), r2, index, d2);
+      }
+    });
+    const auto dispatched = collect_hits(n, [&](std::uint32_t* index, double* d2) {
+      if constexpr (Torus) {
+        return kernels::batch_torus_squared_distance_within<D>(store.axes(), n, q.coords.data(),
+                                                               side, r2, index, d2);
+      } else {
+        return kernels::batch_squared_distance_within<D>(store.axes(), n, q.coords.data(), r2,
+                                                         index, d2);
+      }
+    });
+    expect_same_hits(portable, expected, label + " portable vs scalar");
+    expect_same_hits(dispatched, portable, label + " dispatch vs portable");
+#if MANET_KERNELS_X86
+    if (kernels::cpu_has_avx2()) {
+      const auto avx2 = collect_hits(n, [&](std::uint32_t* index, double* d2) {
+        if constexpr (Torus) {
+          return kernels::batch_torus_squared_distance_within_avx2<D>(
+              store.axes(), n, q.coords.data(), side, r2, index, d2);
+        } else {
+          return kernels::batch_squared_distance_within_avx2<D>(store.axes(), n,
+                                                                q.coords.data(), r2, index, d2);
+        }
+      });
+      expect_same_hits(avx2, portable, label + " avx2 vs portable");
+    }
+#endif
+  }
+}
+
+TEST(BatchWithinRadius, FusedKernelHitsMatchScalarFilter1D) { check_fused_within<1, false>(); }
+TEST(BatchWithinRadius, FusedKernelHitsMatchScalarFilter2D) { check_fused_within<2, false>(); }
+TEST(BatchWithinRadius, FusedKernelHitsMatchScalarFilter3D) { check_fused_within<3, false>(); }
+TEST(BatchWithinRadius, FusedTorusKernelHitsMatchScalarFilter1D) { check_fused_within<1, true>(); }
+TEST(BatchWithinRadius, FusedTorusKernelHitsMatchScalarFilter2D) { check_fused_within<2, true>(); }
+TEST(BatchWithinRadius, FusedTorusKernelHitsMatchScalarFilter3D) { check_fused_within<3, true>(); }
+
+TEST(BatchWithinRadius, AllAndNoLanesHit) {
+  // A 1-D run of 64 points at 0..63 against q = 0: r2 = -1, 0, 15.5^2 and
+  // 64^2 hit the first 0, 1, 16 and 64 points — no lane, a group boundary
+  // inside the first group, an exact group edge and every lane.
+  PointStore<1> store;
+  store.resize(64);
+  for (std::size_t k = 0; k < 64; ++k) store.set(k, Point<1>{{static_cast<double>(k)}});
+  const double q = 0.0;
+  const std::pair<double, std::size_t> cases[] = {
+      {-1.0, 0}, {0.0, 1}, {15.5 * 15.5, 16}, {64.0 * 64.0, 64}};
+  for (const auto& [r2, want] : cases) {
+    const auto hits = collect_hits(64, [&](std::uint32_t* index, double* d2) {
+      return kernels::batch_squared_distance_within<1>(store.axes(), 64, &q, r2, index, d2);
+    });
+    ASSERT_EQ(hits.index.size(), want) << "r2=" << r2;
+    for (std::size_t h = 0; h < want; ++h) EXPECT_EQ(hits.index[h], h);
+  }
+}
 
 // ----- batch_tuple_not_equal ----------------------------------------------
 

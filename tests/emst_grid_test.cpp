@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "geometry/box.hpp"
@@ -353,6 +356,126 @@ TEST(EmstGrid, WorkspaceCurveBuilderMatchesLegacyBuilder) {
       }
     }
   }
+}
+
+
+// ----- sort_candidate_edges: the candidate sort both engines share ---------
+// Differential against std::sort under the (d2, u, v) comparator: the radix
+// must reproduce the unique sorted sequence bit for bit on every size where
+// the key width or the pass count changes, and on the inputs that stress the
+// equal-key repair (ties, key collisions, the key range's two ends).
+
+bool same_sequence(const std::vector<CandidateEdge>& a, const std::vector<CandidateEdge>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i].d2, &b[i].d2, sizeof(double)) != 0 || a[i].u != b[i].u ||
+        a[i].v != b[i].v) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void expect_sorts_like_std_sort(std::vector<CandidateEdge> edges, double d2_bound,
+                                const std::string& label) {
+  std::vector<CandidateEdge> expected = edges;
+  std::sort(expected.begin(), expected.end(), candidate_less);
+  std::vector<CandidateEdge> scratch;
+  sort_candidate_edges(edges, d2_bound, scratch);
+  EXPECT_TRUE(same_sequence(edges, expected)) << label << " size=" << edges.size();
+}
+
+/// `size` edges with distinct (u, v) pairs (v - u - 1 is the element index)
+/// in random order; `make_d2(i)` picks each squared distance.
+template <typename MakeD2>
+std::vector<CandidateEdge> make_edges(std::size_t size, Rng& rng, MakeD2&& make_d2) {
+  std::vector<CandidateEdge> edges(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    const auto u = static_cast<std::uint32_t>(rng.next_u64() % 100000);
+    edges[i] = {make_d2(i), u, u + 1 + static_cast<std::uint32_t>(i)};
+  }
+  return edges;
+}
+
+/// 0, 1, 2, 15-17, 255-257 and 2^k - 1, 2^k, 2^k + 1 up to 2^20: crosses
+/// every change of the key width and of the pass count (at 4, 2^10, 2^18).
+std::vector<std::size_t> sort_sizes() {
+  std::vector<std::size_t> sizes = {0, 1, 2, 15, 16, 17, 255, 256, 257};
+  for (int k = 2; k <= 20; ++k) {
+    const std::size_t p = std::size_t{1} << k;
+    for (const std::size_t size : {p - 1, p, p + 1}) {
+      if (std::find(sizes.begin(), sizes.end(), size) == sizes.end()) sizes.push_back(size);
+    }
+  }
+  return sizes;
+}
+
+TEST(CandidateSort, MatchesStdSortAcrossEveryPassCountChange) {
+  Rng rng(0x5027ull);
+  const double bound = 37.5;
+  for (const std::size_t size : sort_sizes()) {
+    // Mixed input: uniform d2 plus every edge case of the key map — zeros,
+    // values at the bound, 1-ulp neighbours that collide on a key, and a
+    // handful of repeated values tied on d2 with distinct (u, v).
+    const double ulp_base = 0.3 * bound;
+    const auto edges = make_edges(size, rng, [&](std::size_t i) {
+      switch (rng.next_u64() % 8) {
+        case 0:
+          return 0.0;
+        case 1:
+          return bound;
+        case 2: {
+          double x = ulp_base;
+          for (std::size_t step = 0; step < i % 5; ++step) x = std::nextafter(x, bound);
+          return x;
+        }
+        case 3:
+          return (1.0 + static_cast<double>(i % 3)) * bound / 7.0;
+        default:
+          return rng.uniform(0.0, bound);
+      }
+    });
+    expect_sorts_like_std_sort(edges, bound, "mixed");
+  }
+}
+
+TEST(CandidateSort, AllEqualDistancesSortByEndpoints) {
+  Rng rng(0x5028ull);
+  for (const std::size_t size : {std::size_t{2}, std::size_t{17}, std::size_t{257},
+                                 std::size_t{4097}}) {
+    for (const double d2 : {0.0, 0.25, 1.0}) {
+      const auto edges = make_edges(size, rng, [d2](std::size_t) { return d2; });
+      expect_sorts_like_std_sort(edges, 1.0, "all-equal d2=" + std::to_string(d2));
+    }
+  }
+}
+
+TEST(CandidateSort, OneUlpApartValuesCollideAndStillSortExactly) {
+  // Consecutive doubles map to the same key at any key width: the whole
+  // input is one equal-key run that the comparator repair must order.
+  Rng rng(0x5029ull);
+  for (const std::size_t size : {std::size_t{16}, std::size_t{1025}, std::size_t{65537}}) {
+    std::vector<double> ladder(size);
+    double x = 0.5;
+    for (double& value : ladder) {
+      value = x;
+      x = std::nextafter(x, 1.0);
+    }
+    const auto edges = make_edges(size, rng, [&](std::size_t) {
+      return ladder[static_cast<std::size_t>(rng.next_u64() % size)];
+    });
+    expect_sorts_like_std_sort(edges, 1.0, "ulp-ladder");
+  }
+}
+
+TEST(CandidateSort, DegenerateBoundsCostSpeedNotOrder) {
+  // A bound below some d2 clamps them to the top key; a zero bound maps
+  // every key to 0. Either way the repair pass restores the exact order.
+  Rng rng(0x502Aull);
+  const auto edges = make_edges(3000, rng, [&](std::size_t) { return rng.uniform(0.0, 8.0); });
+  expect_sorts_like_std_sort(edges, 2.0, "bound too small");
+  const auto zeros = make_edges(300, rng, [](std::size_t) { return 0.0; });
+  expect_sorts_like_std_sort(zeros, 0.0, "zero bound");
 }
 
 }  // namespace

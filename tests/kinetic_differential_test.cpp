@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/experiments.hpp"
@@ -87,14 +88,23 @@ void expect_curves_identical(std::size_t n, std::span<const WeightedEdge> batch,
   }
 }
 
-/// Drives one mobility trajectory through both engines, comparing every
-/// step. Returns the kinetic stats for fallback-path assertions.
+/// Scan-grid regimes (KineticStats::one_cell) a trace passed through.
+struct RegimeVisits {
+  bool started_one_cell = false;  ///< regime chosen by start()
+  bool one_cell = false;          ///< some step ran in the one-cell regime
+  bool gridded = false;           ///< some step ran on a multi-cell grid
+};
+
+/// Drives one mobility trajectory from `positions` through both engines,
+/// comparing every step. Returns the kinetic stats for fallback-path
+/// assertions; `visits`, when given, records the scan regimes.
 template <int D>
-KineticStats run_differential_trace(std::size_t n, double side, const MobilityConfig& mobility,
-                                    bool torus, std::size_t steps, std::uint64_t seed) {
+KineticStats run_differential_trace_from(std::vector<Point<D>> positions, double side,
+                                         const MobilityConfig& mobility, bool torus,
+                                         std::size_t steps, Rng& rng,
+                                         RegimeVisits* visits = nullptr) {
   const Box<D> box(side);
-  Rng rng(seed);
-  auto positions = uniform_deployment(n, box, rng);
+  const std::size_t n = positions.size();
   const auto model = make_mobility_model<D>(mobility, box);
   model->initialize(positions, rng);
 
@@ -108,8 +118,24 @@ KineticStats run_differential_trace(std::size_t n, double side, const MobilityCo
                                      : kinetic.advance(positions);
     expect_trees_identical(batch_tree, kinetic_tree, s);
     expect_curves_identical<D>(n, batch_tree, kinetic_tree, s);
+    if (visits != nullptr) {
+      const bool one_cell = kinetic.stats().one_cell;
+      if (s == 0) visits->started_one_cell = one_cell;
+      (one_cell ? visits->one_cell : visits->gridded) = true;
+    }
   }
   return kinetic.stats();
+}
+
+/// run_differential_trace_from over a uniform deployment of n nodes.
+template <int D>
+KineticStats run_differential_trace(std::size_t n, double side, const MobilityConfig& mobility,
+                                    bool torus, std::size_t steps, std::uint64_t seed,
+                                    RegimeVisits* visits = nullptr) {
+  Rng rng(seed);
+  auto positions = uniform_deployment(n, Box<D>(side), rng);
+  return run_differential_trace_from<D>(std::move(positions), side, mobility, torus, steps, rng,
+                                        visits);
 }
 
 /// A fast waypoint setup (relative to the paper's gentle defaults) so nodes
@@ -155,11 +181,20 @@ TEST(KineticDifferential, WaypointBoxMatchesBatch1D) {
 
 TEST(KineticDifferential, WaypointBoxMatchesBatch2D) {
   run_differential_trace<2>(200, 64.0, fast_waypoint(64.0), /*torus=*/false, 120, 12);
-  const auto stats =
+  // n = 200 scans as one cell: incremental repairs, but no cell boundary to
+  // cross. The re-binning path is asserted at a size that keeps the grid.
+  const auto one_cell =
       run_differential_trace<2>(200, 64.0, sparse_waypoint(64.0), /*torus=*/false, 120, 12);
-  EXPECT_FALSE(stats.dense_mode);
-  EXPECT_GT(stats.incremental_repairs, 0u);
-  EXPECT_GT(stats.boundary_crossings, 0u);
+  EXPECT_FALSE(one_cell.dense_mode);
+  EXPECT_TRUE(one_cell.one_cell);
+  EXPECT_GT(one_cell.incremental_repairs, 0u);
+  EXPECT_EQ(one_cell.boundary_crossings, 0u);
+  const auto gridded =
+      run_differential_trace<2>(600, 64.0, sparse_waypoint(64.0), /*torus=*/false, 120, 12);
+  EXPECT_FALSE(gridded.dense_mode);
+  EXPECT_FALSE(gridded.one_cell);
+  EXPECT_GT(gridded.incremental_repairs, 0u);
+  EXPECT_GT(gridded.boundary_crossings, 0u);
 }
 
 TEST(KineticDifferential, WaypointBoxMatchesBatch3D) {
@@ -291,25 +326,38 @@ TEST(KineticDifferential, OutlierReturnTriggersHysteresisShrinkAndMatches) {
       << "returning outlier never triggered the hysteresis shrink";
 }
 
-TEST(KineticDifferential, MassTeleportStepsFallBackAndMatch) {
-  // Fresh uniform positions every step: every node moves (waypoint-arrival /
-  // redeployment scale), which must take the mass-move rebuild path.
+/// Fresh uniform positions every step for n nodes; returns the kinetic
+/// stats after 25 such steps, every one compared with the batch engine.
+KineticStats run_teleport_trace(std::size_t n) {
   const double side = 64.0;
   const Box2 box(side);
   Rng rng(54);
-  auto positions = uniform_deployment(120, box, rng);
+  auto positions = uniform_deployment(n, box, rng);
 
   EmstEngine<2> batch;
   KineticEmstEngine<2> kinetic;
   expect_trees_identical(batch.euclidean(positions, box), kinetic.start(positions, box), 0);
   for (std::size_t s = 1; s <= 25; ++s) {
-    positions = uniform_deployment(120, box, rng);
+    positions = uniform_deployment(n, box, rng);
     const auto b = batch.euclidean(positions, box);
     const auto k = kinetic.advance(positions);
     expect_trees_identical(b, k, s);
-    expect_curves_identical<2>(120, b, k, s);
+    expect_curves_identical<2>(n, b, k, s);
   }
-  EXPECT_GT(kinetic.stats().mass_move_rebuilds, 20u);
+  return kinetic.stats();
+}
+
+TEST(KineticDifferential, MassTeleportStepsFallBackAndMatch) {
+  // Fresh uniform positions every step: every node moves (waypoint-arrival /
+  // redeployment scale). On a grid that must take the mass-move rebuild
+  // path; n = 120 scans as one cell, which has no boundaries to cross, so
+  // there it is repaired incrementally instead — bit-identical either way.
+  const KineticStats one_cell = run_teleport_trace(120);
+  EXPECT_TRUE(one_cell.one_cell);
+  EXPECT_EQ(one_cell.mass_move_rebuilds, 0u);
+  const KineticStats gridded = run_teleport_trace(600);
+  EXPECT_FALSE(gridded.one_cell);
+  EXPECT_GT(gridded.mass_move_rebuilds, 20u);
 }
 
 TEST(KineticDifferential, DuplicateAndBoundaryStraddlingPointsMatch) {
@@ -373,6 +421,101 @@ TEST(KineticDifferential, RandomizedConfigSweep) {
       run_differential_trace<2>(n, side, mobility, torus, steps, seed);
     } else {
       run_differential_trace<3>(n, side, mobility, torus, steps, seed);
+    }
+  }
+}
+
+// --- the one-cell cut-over ---------------------------------------------------
+// rebuild_kinetic_grid switches between a multi-cell scan grid and one cell
+// by a cost model. In 2-D and 3-D the switch moves with n: the traces below
+// start just below it (one cell) and just above it (grid). In 1-D a mover's
+// window is a single run either way, so only a radius near a third of the
+// side — a gap the tree must bridge — selects one cell; the 1-D traces
+// start just on either side of that gap and then close it.
+
+/// Smallest n (a multiple of 8 above 40) whose uniform deployment from
+/// `seed` makes start() pick the gridded scan. The n - 8 just below it
+/// starts in the one-cell regime by construction.
+template <int D>
+std::size_t first_gridded_n(double side, bool torus, std::uint64_t seed) {
+  const Box<D> box(side);
+  const auto starts_gridded = [&](std::size_t n) {
+    Rng rng(seed);
+    const auto positions = uniform_deployment(n, box, rng);
+    KineticEmstEngine<D> kinetic;
+    if (torus) {
+      kinetic.start_torus(positions, side);
+    } else {
+      kinetic.start(positions, box);
+    }
+    return !kinetic.stats().one_cell;
+  };
+  std::size_t lo = 40;  // one cell (checked below)
+  if (starts_gridded(lo)) return 0;
+  std::size_t hi = lo;
+  while (!starts_gridded(hi)) {
+    lo = hi;
+    hi += 128;
+    if (hi > 4096) return 0;
+  }
+  for (std::size_t n = lo + 8; n < hi; n += 8) {
+    if (starts_gridded(n)) return n;
+  }
+  return hi;
+}
+
+template <int D>
+void check_cut_over_in_n(bool torus, bool waypoint, std::uint64_t seed) {
+  const double side = 64.0;
+  const std::size_t above = first_gridded_n<D>(side, torus, seed);
+  ASSERT_GT(above, 40u) << "no one-cell/grid cut-over found in n";
+  const MobilityConfig mobility = waypoint ? fast_waypoint(side) : fast_drunkard(side);
+  for (const std::size_t n : {above - 8, above}) {
+    SCOPED_TRACE(::testing::Message() << "D=" << D << " n=" << n << " torus=" << torus
+                                      << " waypoint=" << waypoint);
+    RegimeVisits visits;
+    run_differential_trace<D>(n, side, mobility, torus, 40, seed, &visits);
+    EXPECT_EQ(visits.started_one_cell, n < above);
+  }
+}
+
+TEST(KineticDifferential, OneCellCutOverInNMatchesBatch2D) {
+  for (const bool torus : {false, true}) {
+    for (const bool waypoint : {false, true}) check_cut_over_in_n<2>(torus, waypoint, 81);
+  }
+}
+
+TEST(KineticDifferential, OneCellCutOverInNMatchesBatch3D) {
+  for (const bool torus : {false, true}) {
+    for (const bool waypoint : {false, true}) check_cut_over_in_n<3>(torus, waypoint, 82);
+  }
+}
+
+TEST(KineticDifferential, OneCellCutOverInGapMatchesBatch1D) {
+  // Two clusters of 24 nodes, 8 wide, with a gap g between them (and a
+  // wider wrap-around gap on the torus): the tree must bridge g, so the
+  // maintained radius is ~1.05 g. One cell wins once that radius passes
+  // side/3 (at most five ~radius/2 cells fit); g = 29 starts on the grid,
+  // g = 32 as one cell. Mobility then fills the gap, the radius shrinks and
+  // the g = 32 traces cross the cut-over mid-way.
+  const double side = 96.0;
+  for (const bool torus : {false, true}) {
+    for (const bool waypoint : {false, true}) {
+      for (const double gap : {29.0, 32.0}) {
+        SCOPED_TRACE(::testing::Message() << "gap=" << gap << " torus=" << torus
+                                          << " waypoint=" << waypoint);
+        Rng rng(83);
+        std::vector<Point1> positions;
+        for (std::size_t i = 0; i < 24; ++i) positions.push_back({{rng.uniform(0.0, 8.0)}});
+        for (std::size_t i = 0; i < 24; ++i) {
+          positions.push_back({{rng.uniform(8.0 + gap, 16.0 + gap)}});
+        }
+        const MobilityConfig mobility = waypoint ? fast_waypoint(side) : fast_drunkard(side);
+        RegimeVisits visits;
+        run_differential_trace_from<1>(positions, side, mobility, torus, 60, rng, &visits);
+        EXPECT_EQ(visits.started_one_cell, gap > 30.0);
+        if (gap > 30.0) EXPECT_TRUE(visits.gridded) << "the trace never crossed the cut-over";
+      }
     }
   }
 }

@@ -48,23 +48,21 @@ void expect_trees_identical(std::span<const WeightedEdge> batch,
   }
 }
 
-TEST(PropertyKinetic, NodeOscillatingOnExactCellBoundary) {
-  // One node hops between EXACTLY representable coordinates — 16.0 (a cell
-  // boundary when the grid divides side 64 into 4 cells, and a round binary
-  // value regardless), 8.0 and 24.0 — while the bulk jiggles. The dangerous
-  // case is the boundary value itself: the kinetic cell assignment must
-  // place it in the same cell as a fresh CellGrid rebuild would, every time
-  // it lands there, or candidate edges silently go missing.
+/// One node hops between EXACTLY representable coordinates — 16.0 (a cell
+/// boundary whenever the grid divides side 64 into a power-of-two number of
+/// cells, and a round binary value regardless), 8.0 and 24.0 — while the
+/// bulk of n nodes jiggles. Returns the kinetic stats after 60 hops.
+KineticStats run_boundary_oscillation(std::size_t n) {
   const double side = 64.0;
   const Box2 box(side);
   Rng rng(71);
-  auto positions = uniform_deployment(70, box, rng);
+  auto positions = uniform_deployment(n, box, rng);
   positions[0] = {{16.0, 16.0}};
 
   EmstEngine<2> batch;
   KineticEmstEngine<2> kinetic;
   expect_trees_identical(batch.euclidean(positions, box), kinetic.start(positions, box), 0);
-  ASSERT_FALSE(kinetic.stats().dense_mode);
+  EXPECT_FALSE(kinetic.stats().dense_mode);
 
   const double cycle[6] = {8.0, 16.0, 24.0, 16.0, 8.0, 16.0};
   for (std::size_t s = 1; s <= 60; ++s) {
@@ -75,7 +73,21 @@ TEST(PropertyKinetic, NodeOscillatingOnExactCellBoundary) {
     }
     expect_trees_identical(batch.euclidean(positions, box), kinetic.advance(positions), s);
   }
-  EXPECT_GT(kinetic.stats().boundary_crossings, 0u)
+  return kinetic.stats();
+}
+
+TEST(PropertyKinetic, NodeOscillatingOnExactCellBoundary) {
+  // The dangerous case is the boundary value itself: the kinetic cell
+  // assignment must place it in the same cell as a fresh CellGrid rebuild
+  // would, every time it lands there, or candidate edges silently go
+  // missing. n = 70 scans as one cell (nothing to cross, trees still
+  // compared); n = 400 keeps a grid, where the hops must re-bin.
+  const KineticStats one_cell = run_boundary_oscillation(70);
+  EXPECT_TRUE(one_cell.one_cell);
+  EXPECT_EQ(one_cell.boundary_crossings, 0u);
+  const KineticStats gridded = run_boundary_oscillation(400);
+  EXPECT_FALSE(gridded.one_cell);
+  EXPECT_GT(gridded.boundary_crossings, 0u)
       << "the oscillating node never changed cells — the scenario lost its point";
 }
 
@@ -99,18 +111,20 @@ TEST(PropertyKinetic, OscillationWithZeroNetMovementOnTorus) {
   }
 }
 
-TEST(PropertyKinetic, AllNodesTeleportEveryStep) {
-  // Whole-population reflection p -> side - p: every node moves a
-  // teleport-scale distance every step, which must route through the
-  // mass-move rebuild — and produce batch-identical trees throughout.
+/// Whole-population reflection p -> side - p of n nodes for 20 steps, every
+/// step compared with the batch engine; `expect_mass_move` says whether each
+/// step must route through the mass-move rebuild (a grid) or none may (one
+/// cell, which has no boundaries to cross).
+void run_reflection_trace(std::size_t n, bool expect_mass_move) {
   const double side = 80.0;
   const Box2 box(side);
   Rng rng(73);
-  auto positions = uniform_deployment(150, box, rng);
+  auto positions = uniform_deployment(n, box, rng);
 
   EmstEngine<2> batch;
   KineticEmstEngine<2> kinetic;
   expect_trees_identical(batch.euclidean(positions, box), kinetic.start(positions, box), 0);
+  EXPECT_EQ(kinetic.stats().one_cell, !expect_mass_move);
 
   for (std::size_t s = 1; s <= 20; ++s) {
     for (auto& p : positions) {
@@ -118,8 +132,17 @@ TEST(PropertyKinetic, AllNodesTeleportEveryStep) {
       p.coords[1] = side - p.coords[1];
     }
     expect_trees_identical(batch.euclidean(positions, box), kinetic.advance(positions), s);
-    EXPECT_EQ(kinetic.stats().mass_move_rebuilds, s) << "teleport step took the wrong path";
+    EXPECT_EQ(kinetic.stats().mass_move_rebuilds, expect_mass_move ? s : 0u)
+        << "teleport step took the wrong path";
   }
+}
+
+TEST(PropertyKinetic, AllNodesTeleportEveryStep) {
+  // Every node moves a teleport-scale distance every step. On a grid that
+  // must route through the mass-move rebuild; n = 150 scans as one cell and
+  // repairs instead. Batch-identical trees throughout, either way.
+  run_reflection_trace(150, /*expect_mass_move=*/false);
+  run_reflection_trace(500, /*expect_mass_move=*/true);
 }
 
 TEST(PropertyKinetic, DenseFallbackHandoffAroundCutoff) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <iomanip>
@@ -20,6 +21,7 @@
 #include "core/experiments.hpp"
 #include "core/mtrm.hpp"
 #include "sim/threshold_search.hpp"
+#include "topology/emst_kinetic.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -211,18 +213,32 @@ std::uint64_t mtrm_checksum(const MtrmConfig& config, std::uint64_t seed) {
 /// (engine/solver work counters). pool.* is excluded by construction: it
 /// records how work was scheduled and legitimately varies with threads.
 bool deterministic_metric(std::string_view name) {
-  return name.starts_with("emst.") || name.starts_with("threshold.");
+  return name.starts_with("emst.") || name.starts_with("threshold.") ||
+         name.starts_with("kinetic.");
 }
 
+/// Restores the environment-driven engine selection on scope exit.
+struct KineticModeGuard {
+  ~KineticModeGuard() { set_kinetic_mode(KineticMode::kFromEnvironment); }
+};
+
 TEST(RunMetricsDeterminism, GoldenChecksumsUnmovedAndCountersThreadInvariant) {
+  const KineticModeGuard mode_guard;
+  set_kinetic_mode(KineticMode::kForceOn);
   const MtrmConfig waypoint = experiments::waypoint_experiment(256.0, Preset::kQuick);
   const MtrmConfig drunkard = experiments::drunkard_experiment(256.0, Preset::kQuick);
+  // n = 16 at l = 256 is below the kinetic engine's dense cutoff; this
+  // l = 1024 (n = 32) drunkard runs its incremental path, so the scan and
+  // delta counters (kinetic.kernel_runs, .distance_evals, .delta_pairs) and
+  // the mass-move counter are compared across thread counts as well.
+  const MtrmConfig kinetic_drunkard = experiments::drunkard_experiment(1024.0, Preset::kQuick);
 
   const auto run_at = [&](std::size_t threads) {
     metrics::reset();
     set_max_parallelism(threads);
     const std::uint64_t w = mtrm_checksum(waypoint, 20020623);
     const std::uint64_t d = mtrm_checksum(drunkard, 20020623);
+    mtrm_checksum(kinetic_drunkard, 20020623);
     // The MTRM path never bisects (its thresholds are exact order
     // statistics); run a small MC bisection too so the threshold.* counters
     // are exercised at both thread counts.
@@ -265,6 +281,16 @@ TEST(RunMetricsDeterminism, GoldenChecksumsUnmovedAndCountersThreadInvariant) {
   EXPECT_GT(snap1.counter_value("emst.solves"), 0u);
   EXPECT_GT(snap1.counter_value("threshold.searches"), 0u);
   EXPECT_GT(snap1.counter_value("threshold.mc_trials"), 0u);
+  EXPECT_GT(snap1.counter_value("kinetic.incremental_repairs"), 0u);
+  EXPECT_GT(snap1.counter_value("kinetic.kernel_runs"), 0u);
+  EXPECT_GT(snap1.counter_value("kinetic.distance_evals"),
+            snap1.counter_value("kinetic.kernel_runs"));
+  EXPECT_GT(snap1.counter_value("kinetic.delta_pairs"), 0u);
+  // Registered, and thread-invariant like the rest, even while it reads 0.
+  const auto& names = snap1.counters;
+  EXPECT_TRUE(std::any_of(names.begin(), names.end(), [](const metrics::SnapshotCounter& c) {
+    return c.name == "kinetic.mass_move_rebuilds";
+  }));
 }
 
 }  // namespace
