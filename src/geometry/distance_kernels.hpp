@@ -78,6 +78,39 @@ double torus_squared_distance_scalar(const double* a, const double* b, double si
 }
 
 // ---------------------------------------------------------------------------
+// Per-element metrics over SoA axes: the scalar core's operation sequence
+// for element k of a run. The portable distance kernels and the AVX2 tails
+// below are loops over these, so there is one scalar sequence to match.
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+template <int D>
+inline double squared_distance_at(const AxisPointers<D>& axes, std::size_t k,
+                                  const double* q) noexcept {
+  double sum = 0.0;
+  for (int i = 0; i < D; ++i) {
+    const double d = axes[static_cast<std::size_t>(i)][k] - q[i];
+    sum += d * d;
+  }
+  return sum;
+}
+
+template <int D>
+inline double torus_squared_distance_at(const AxisPointers<D>& axes, std::size_t k,
+                                        const double* q, double side) noexcept {
+  double sum = 0.0;
+  for (int i = 0; i < D; ++i) {
+    double d = std::abs(axes[static_cast<std::size_t>(i)][k] - q[i]);
+    d = std::min(d, side - d);
+    sum += d * d;
+  }
+  return sum;
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
 // Portable batch kernels — plain loops in the same per-element order, written
 // over SoA axes so the auto-vectorizer can work even without the AVX2 path.
 // ---------------------------------------------------------------------------
@@ -86,14 +119,7 @@ double torus_squared_distance_scalar(const double* a, const double* b, double si
 template <int D>
 void batch_squared_distance_portable(const AxisPointers<D>& axes, std::size_t count,
                                      const double* q, double* out) noexcept {
-  for (std::size_t k = 0; k < count; ++k) {
-    double sum = 0.0;
-    for (int i = 0; i < D; ++i) {
-      const double d = axes[static_cast<std::size_t>(i)][k] - q[i];
-      sum += d * d;
-    }
-    out[k] = sum;
-  }
+  for (std::size_t k = 0; k < count; ++k) out[k] = detail::squared_distance_at<D>(axes, k, q);
 }
 
 /// out[k] = torus_squared_distance(axes[.][k], q, side) for k in [0, count).
@@ -101,14 +127,48 @@ template <int D>
 void batch_torus_squared_distance_portable(const AxisPointers<D>& axes, std::size_t count,
                                            const double* q, double side, double* out) noexcept {
   for (std::size_t k = 0; k < count; ++k) {
-    double sum = 0.0;
-    for (int i = 0; i < D; ++i) {
-      double d = std::abs(axes[static_cast<std::size_t>(i)][k] - q[i]);
-      d = std::min(d, side - d);
-      sum += d * d;
-    }
-    out[k] = sum;
+    out[k] = detail::torus_squared_distance_at<D>(axes, k, q, side);
   }
+}
+
+// Fused in-radius kernels: the batched distance plus the `d2 <= r2` filter in
+// one pass. For k in [0, count) the kernel computes d2 exactly as the batch
+// kernels do and, when !(d2 > r2), appends k to hit_index and d2 to hit_d2;
+// it returns the number of hits. Both outputs are written without a branch —
+// every element stores unconditionally and the hit count advances by the
+// comparison result — so both buffers need room for `count` entries. The
+// hits come out in ascending k, and each hit_d2 is the same 64 bits the
+// scalar core gives for that pair.
+
+template <int D>
+std::size_t batch_squared_distance_within_portable(const AxisPointers<D>& axes,
+                                                   std::size_t count, const double* q,
+                                                   double r2, std::uint32_t* hit_index,
+                                                   double* hit_d2) noexcept {
+  std::size_t hits = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const double d2 = detail::squared_distance_at<D>(axes, k, q);
+    hit_index[hits] = static_cast<std::uint32_t>(k);
+    hit_d2[hits] = d2;
+    hits += static_cast<std::size_t>(!(d2 > r2));
+  }
+  return hits;
+}
+
+template <int D>
+std::size_t batch_torus_squared_distance_within_portable(const AxisPointers<D>& axes,
+                                                         std::size_t count, const double* q,
+                                                         double side, double r2,
+                                                         std::uint32_t* hit_index,
+                                                         double* hit_d2) noexcept {
+  std::size_t hits = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const double d2 = detail::torus_squared_distance_at<D>(axes, k, q, side);
+    hit_index[hits] = static_cast<std::uint32_t>(k);
+    hit_d2[hits] = d2;
+    hits += static_cast<std::size_t>(!(d2 > r2));
+  }
+  return hits;
 }
 
 // ---------------------------------------------------------------------------
@@ -119,6 +179,102 @@ void batch_torus_squared_distance_portable(const AxisPointers<D>& axes, std::siz
 
 #if MANET_KERNELS_X86
 
+namespace detail {
+
+/// Squared distances of elements k..k+3 to the query broadcast in q0..q2
+/// (axes beyond D unused).
+template <int D>
+__attribute__((target("avx2"))) inline __m256d squared_distance_lanes(
+    const AxisPointers<D>& axes, std::size_t k, __m256d q0, __m256d q1, __m256d q2) noexcept {
+  __m256d d = _mm256_sub_pd(_mm256_loadu_pd(axes[0] + k), q0);
+  __m256d sum = _mm256_mul_pd(d, d);
+  if constexpr (D >= 2) {
+    d = _mm256_sub_pd(_mm256_loadu_pd(axes[1] + k), q1);
+    sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
+  }
+  if constexpr (D >= 3) {
+    d = _mm256_sub_pd(_mm256_loadu_pd(axes[2] + k), q2);
+    sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
+  }
+  return sum;
+}
+
+/// Torus squared distances of elements k..k+3. |x| via clearing the sign
+/// bit matches std::abs bit-for-bit on every non-NaN double; min_pd(side-d,
+/// d) picks d on ties exactly like std::min(d, side-d), and d == side-d never
+/// mixes +0/-0 here (d >= 0 and side > 0, so side-d == 0 only when
+/// d == side > 0).
+template <int D>
+__attribute__((target("avx2"))) inline __m256d torus_squared_distance_lanes(
+    const AxisPointers<D>& axes, std::size_t k, __m256d q0, __m256d q1, __m256d q2,
+    __m256d side_v) noexcept {
+  const __m256d sign_mask = _mm256_set1_pd(-0.0);
+  __m256d d = _mm256_andnot_pd(sign_mask, _mm256_sub_pd(_mm256_loadu_pd(axes[0] + k), q0));
+  d = _mm256_min_pd(_mm256_sub_pd(side_v, d), d);
+  __m256d sum = _mm256_mul_pd(d, d);
+  if constexpr (D >= 2) {
+    d = _mm256_andnot_pd(sign_mask, _mm256_sub_pd(_mm256_loadu_pd(axes[1] + k), q1));
+    d = _mm256_min_pd(_mm256_sub_pd(side_v, d), d);
+    sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
+  }
+  if constexpr (D >= 3) {
+    d = _mm256_andnot_pd(sign_mask, _mm256_sub_pd(_mm256_loadu_pd(axes[2] + k), q2));
+    d = _mm256_min_pd(_mm256_sub_pd(side_v, d), d);
+    sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
+  }
+  return sum;
+}
+
+/// Left-packing tables for a 4-lane hit mask m: row m lists the set lanes of
+/// m in ascending order (unused slots repeat lane 0). `lanes` drives the
+/// 32-bit index compress; `float_pairs` is the same permutation in the
+/// float-pair form _mm256_permutevar8x32_ps needs to move whole doubles.
+struct PackTables {
+  alignas(16) std::int32_t lanes[16][4];
+  alignas(32) std::int32_t float_pairs[16][8];
+};
+
+constexpr PackTables make_pack_tables() noexcept {
+  PackTables t{};
+  for (int m = 0; m < 16; ++m) {
+    int out = 0;
+    for (int lane = 0; lane < 4; ++lane) {
+      if ((m >> lane) & 1) {
+        t.lanes[m][out] = lane;
+        t.float_pairs[m][2 * out] = 2 * lane;
+        t.float_pairs[m][2 * out + 1] = 2 * lane + 1;
+        ++out;
+      }
+    }
+  }
+  return t;
+}
+
+inline constexpr PackTables kPackTables = make_pack_tables();
+
+/// Stores the hit lanes of `sum` (and their indices k..k+3) left-packed at
+/// hit_d2/hit_index[hits]; returns the new hit count. Writes four entries
+/// from `hits`, which is at most k, so a full group stays inside the run.
+/// The permute moves whole 64-bit lanes, so every stored d2 keeps its bits.
+__attribute__((target("avx2"))) inline std::size_t pack_hits(
+    __m256d sum, __m256d r2v, std::size_t k, std::size_t hits, std::uint32_t* hit_index,
+    double* hit_d2) noexcept {
+  // _CMP_NGT_UQ is scalar !(sum > r2) (unordered => hit), the filter the
+  // portable kernels apply.
+  const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, r2v, _CMP_NGT_UQ));
+  const __m256i pairs = _mm256_load_si256(
+      reinterpret_cast<const __m256i*>(kPackTables.float_pairs[mask]));
+  const __m128i lanes =
+      _mm_load_si128(reinterpret_cast<const __m128i*>(kPackTables.lanes[mask]));
+  _mm256_storeu_pd(hit_d2 + hits,
+                   _mm256_castps_pd(_mm256_permutevar8x32_ps(_mm256_castpd_ps(sum), pairs)));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(hit_index + hits),
+                   _mm_add_epi32(_mm_set1_epi32(static_cast<int>(k)), lanes));
+  return hits + static_cast<std::size_t>(std::popcount(static_cast<unsigned>(mask)));
+}
+
+}  // namespace detail
+
 template <int D>
 __attribute__((target("avx2"))) void batch_squared_distance_avx2(
     const AxisPointers<D>& axes, std::size_t count, const double* q, double* out) noexcept {
@@ -127,32 +283,11 @@ __attribute__((target("avx2"))) void batch_squared_distance_avx2(
   const __m256d q2 = _mm256_set1_pd(D >= 3 ? q[2] : 0.0);
   std::size_t k = 0;
   for (; k + 4 <= count; k += 4) {
-    __m256d d = _mm256_sub_pd(_mm256_loadu_pd(axes[0] + k), q0);
-    __m256d sum = _mm256_mul_pd(d, d);
-    if constexpr (D >= 2) {
-      d = _mm256_sub_pd(_mm256_loadu_pd(axes[1] + k), q1);
-      sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
-    }
-    if constexpr (D >= 3) {
-      d = _mm256_sub_pd(_mm256_loadu_pd(axes[2] + k), q2);
-      sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
-    }
-    _mm256_storeu_pd(out + k, sum);
+    _mm256_storeu_pd(out + k, detail::squared_distance_lanes<D>(axes, k, q0, q1, q2));
   }
-  for (; k < count; ++k) {
-    double sum = 0.0;
-    for (int i = 0; i < D; ++i) {
-      const double d = axes[static_cast<std::size_t>(i)][k] - q[i];
-      sum += d * d;
-    }
-    out[k] = sum;
-  }
+  for (; k < count; ++k) out[k] = detail::squared_distance_at<D>(axes, k, q);
 }
 
-/// |x| via clearing the sign bit matches std::abs bit-for-bit on every
-/// non-NaN double; min_pd(side-d, d) picks d on ties exactly like
-/// std::min(d, side-d), and d == side-d never mixes +0/-0 here (d >= 0 and
-/// side > 0, so side-d == 0 only when d == side > 0).
 template <int D>
 __attribute__((target("avx2"))) void batch_torus_squared_distance_avx2(
     const AxisPointers<D>& axes, std::size_t count, const double* q, double side,
@@ -160,34 +295,61 @@ __attribute__((target("avx2"))) void batch_torus_squared_distance_avx2(
   const __m256d q0 = _mm256_set1_pd(q[0]);
   const __m256d q1 = _mm256_set1_pd(D >= 2 ? q[1] : 0.0);
   const __m256d q2 = _mm256_set1_pd(D >= 3 ? q[2] : 0.0);
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
   const __m256d side_v = _mm256_set1_pd(side);
   std::size_t k = 0;
   for (; k + 4 <= count; k += 4) {
-    __m256d d = _mm256_andnot_pd(sign_mask, _mm256_sub_pd(_mm256_loadu_pd(axes[0] + k), q0));
-    d = _mm256_min_pd(_mm256_sub_pd(side_v, d), d);
-    __m256d sum = _mm256_mul_pd(d, d);
-    if constexpr (D >= 2) {
-      d = _mm256_andnot_pd(sign_mask, _mm256_sub_pd(_mm256_loadu_pd(axes[1] + k), q1));
-      d = _mm256_min_pd(_mm256_sub_pd(side_v, d), d);
-      sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
-    }
-    if constexpr (D >= 3) {
-      d = _mm256_andnot_pd(sign_mask, _mm256_sub_pd(_mm256_loadu_pd(axes[2] + k), q2));
-      d = _mm256_min_pd(_mm256_sub_pd(side_v, d), d);
-      sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
-    }
-    _mm256_storeu_pd(out + k, sum);
+    _mm256_storeu_pd(out + k,
+                     detail::torus_squared_distance_lanes<D>(axes, k, q0, q1, q2, side_v));
+  }
+  for (; k < count; ++k) out[k] = detail::torus_squared_distance_at<D>(axes, k, q, side);
+}
+
+template <int D>
+__attribute__((target("avx2"))) std::size_t batch_squared_distance_within_avx2(
+    const AxisPointers<D>& axes, std::size_t count, const double* q, double r2,
+    std::uint32_t* hit_index, double* hit_d2) noexcept {
+  const __m256d q0 = _mm256_set1_pd(q[0]);
+  const __m256d q1 = _mm256_set1_pd(D >= 2 ? q[1] : 0.0);
+  const __m256d q2 = _mm256_set1_pd(D >= 3 ? q[2] : 0.0);
+  const __m256d r2v = _mm256_set1_pd(r2);
+  std::size_t hits = 0;
+  std::size_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    hits = detail::pack_hits(detail::squared_distance_lanes<D>(axes, k, q0, q1, q2), r2v, k,
+                             hits, hit_index, hit_d2);
   }
   for (; k < count; ++k) {
-    double sum = 0.0;
-    for (int i = 0; i < D; ++i) {
-      double d = std::abs(axes[static_cast<std::size_t>(i)][k] - q[i]);
-      d = std::min(d, side - d);
-      sum += d * d;
-    }
-    out[k] = sum;
+    const double d2 = detail::squared_distance_at<D>(axes, k, q);
+    hit_index[hits] = static_cast<std::uint32_t>(k);
+    hit_d2[hits] = d2;
+    hits += static_cast<std::size_t>(!(d2 > r2));
   }
+  return hits;
+}
+
+template <int D>
+__attribute__((target("avx2"))) std::size_t batch_torus_squared_distance_within_avx2(
+    const AxisPointers<D>& axes, std::size_t count, const double* q, double side, double r2,
+    std::uint32_t* hit_index, double* hit_d2) noexcept {
+  const __m256d q0 = _mm256_set1_pd(q[0]);
+  const __m256d q1 = _mm256_set1_pd(D >= 2 ? q[1] : 0.0);
+  const __m256d q2 = _mm256_set1_pd(D >= 3 ? q[2] : 0.0);
+  const __m256d side_v = _mm256_set1_pd(side);
+  const __m256d r2v = _mm256_set1_pd(r2);
+  std::size_t hits = 0;
+  std::size_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    hits = detail::pack_hits(
+        detail::torus_squared_distance_lanes<D>(axes, k, q0, q1, q2, side_v), r2v, k, hits,
+        hit_index, hit_d2);
+  }
+  for (; k < count; ++k) {
+    const double d2 = detail::torus_squared_distance_at<D>(axes, k, q, side);
+    hit_index[hits] = static_cast<std::uint32_t>(k);
+    hit_d2[hits] = d2;
+    hits += static_cast<std::size_t>(!(d2 > r2));
+  }
+  return hits;
 }
 
 #endif  // MANET_KERNELS_X86
@@ -236,193 +398,8 @@ inline void batch_torus_squared_distance(const AxisPointers<D>& axes, std::size_
   batch_torus_squared_distance_portable<D>(axes, count, q, side, out);
 }
 
-// ---------------------------------------------------------------------------
-// Fused in-radius kernels: the batched distance plus the `d2 <= r2` filter in
-// one pass. For k in [0, count) the kernel computes d2 exactly as the batch
-// kernels above and, when !(d2 > r2), appends k to hit_index and d2 to
-// hit_d2; it returns the number of hits. Both outputs are written without a
-// branch — every lane stores unconditionally and the hit count advances by
-// the comparison result — so both buffers need room for `count` entries. The
-// hits come out in ascending k, and each hit_d2 is the same 64 bits the
-// scalar core gives for that pair.
-// ---------------------------------------------------------------------------
-
-template <int D>
-std::size_t batch_squared_distance_within_portable(const AxisPointers<D>& axes,
-                                                   std::size_t count, const double* q,
-                                                   double r2, std::uint32_t* hit_index,
-                                                   double* hit_d2) noexcept {
-  std::size_t hits = 0;
-  for (std::size_t k = 0; k < count; ++k) {
-    double sum = 0.0;
-    for (int i = 0; i < D; ++i) {
-      const double d = axes[static_cast<std::size_t>(i)][k] - q[i];
-      sum += d * d;
-    }
-    hit_index[hits] = static_cast<std::uint32_t>(k);
-    hit_d2[hits] = sum;
-    hits += static_cast<std::size_t>(!(sum > r2));
-  }
-  return hits;
-}
-
-template <int D>
-std::size_t batch_torus_squared_distance_within_portable(const AxisPointers<D>& axes,
-                                                         std::size_t count, const double* q,
-                                                         double side, double r2,
-                                                         std::uint32_t* hit_index,
-                                                         double* hit_d2) noexcept {
-  std::size_t hits = 0;
-  for (std::size_t k = 0; k < count; ++k) {
-    double sum = 0.0;
-    for (int i = 0; i < D; ++i) {
-      double d = std::abs(axes[static_cast<std::size_t>(i)][k] - q[i]);
-      d = std::min(d, side - d);
-      sum += d * d;
-    }
-    hit_index[hits] = static_cast<std::uint32_t>(k);
-    hit_d2[hits] = sum;
-    hits += static_cast<std::size_t>(!(sum > r2));
-  }
-  return hits;
-}
-
-#if MANET_KERNELS_X86
-
-namespace detail {
-
-/// Left-packing tables for a 4-lane hit mask m: row m lists the set lanes of
-/// m in ascending order (unused slots repeat lane 0). kPackLanes drives the
-/// 32-bit index compress; kPackFloatPairs is the same permutation in the
-/// float-pair form _mm256_permutevar8x32_ps needs to move whole doubles.
-struct PackTables {
-  alignas(16) std::int32_t lanes[16][4];
-  alignas(32) std::int32_t float_pairs[16][8];
-};
-
-constexpr PackTables make_pack_tables() noexcept {
-  PackTables t{};
-  for (int m = 0; m < 16; ++m) {
-    int out = 0;
-    for (int lane = 0; lane < 4; ++lane) {
-      if ((m >> lane) & 1) {
-        t.lanes[m][out] = lane;
-        t.float_pairs[m][2 * out] = 2 * lane;
-        t.float_pairs[m][2 * out + 1] = 2 * lane + 1;
-        ++out;
-      }
-    }
-  }
-  return t;
-}
-
-inline constexpr PackTables kPackTables = make_pack_tables();
-
-/// Stores the hit lanes of `sum` (and their indices k..k+3) left-packed at
-/// hit_d2/hit_index[hits]; returns the new hit count. The permute moves
-/// whole 64-bit lanes, so every stored d2 keeps its exact bits.
-__attribute__((target("avx2"))) inline std::size_t pack_hits(
-    __m256d sum, __m256d r2v, std::size_t k, std::size_t hits, std::uint32_t* hit_index,
-    double* hit_d2) noexcept {
-  // _CMP_NGT_UQ is scalar !(sum > r2) (unordered => hit), the filter the
-  // portable kernels apply.
-  const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, r2v, _CMP_NGT_UQ));
-  const __m256i pairs = _mm256_load_si256(
-      reinterpret_cast<const __m256i*>(kPackTables.float_pairs[mask]));
-  const __m128i lanes =
-      _mm_load_si128(reinterpret_cast<const __m128i*>(kPackTables.lanes[mask]));
-  _mm256_storeu_pd(hit_d2 + hits,
-                   _mm256_castps_pd(_mm256_permutevar8x32_ps(_mm256_castpd_ps(sum), pairs)));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(hit_index + hits),
-                   _mm_add_epi32(_mm_set1_epi32(static_cast<int>(k)), lanes));
-  return hits + static_cast<std::size_t>(std::popcount(static_cast<unsigned>(mask)));
-}
-
-}  // namespace detail
-
-template <int D>
-__attribute__((target("avx2"))) std::size_t batch_squared_distance_within_avx2(
-    const AxisPointers<D>& axes, std::size_t count, const double* q, double r2,
-    std::uint32_t* hit_index, double* hit_d2) noexcept {
-  const __m256d q0 = _mm256_set1_pd(q[0]);
-  const __m256d q1 = _mm256_set1_pd(D >= 2 ? q[1] : 0.0);
-  const __m256d q2 = _mm256_set1_pd(D >= 3 ? q[2] : 0.0);
-  const __m256d r2v = _mm256_set1_pd(r2);
-  std::size_t hits = 0;
-  std::size_t k = 0;
-  // hits <= k, so the 4-wide stores of a full group stay below count.
-  for (; k + 4 <= count; k += 4) {
-    __m256d d = _mm256_sub_pd(_mm256_loadu_pd(axes[0] + k), q0);
-    __m256d sum = _mm256_mul_pd(d, d);
-    if constexpr (D >= 2) {
-      d = _mm256_sub_pd(_mm256_loadu_pd(axes[1] + k), q1);
-      sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
-    }
-    if constexpr (D >= 3) {
-      d = _mm256_sub_pd(_mm256_loadu_pd(axes[2] + k), q2);
-      sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
-    }
-    hits = detail::pack_hits(sum, r2v, k, hits, hit_index, hit_d2);
-  }
-  for (; k < count; ++k) {
-    double sum = 0.0;
-    for (int i = 0; i < D; ++i) {
-      const double d = axes[static_cast<std::size_t>(i)][k] - q[i];
-      sum += d * d;
-    }
-    hit_index[hits] = static_cast<std::uint32_t>(k);
-    hit_d2[hits] = sum;
-    hits += static_cast<std::size_t>(!(sum > r2));
-  }
-  return hits;
-}
-
-template <int D>
-__attribute__((target("avx2"))) std::size_t batch_torus_squared_distance_within_avx2(
-    const AxisPointers<D>& axes, std::size_t count, const double* q, double side, double r2,
-    std::uint32_t* hit_index, double* hit_d2) noexcept {
-  const __m256d q0 = _mm256_set1_pd(q[0]);
-  const __m256d q1 = _mm256_set1_pd(D >= 2 ? q[1] : 0.0);
-  const __m256d q2 = _mm256_set1_pd(D >= 3 ? q[2] : 0.0);
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  const __m256d side_v = _mm256_set1_pd(side);
-  const __m256d r2v = _mm256_set1_pd(r2);
-  std::size_t hits = 0;
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    __m256d d = _mm256_andnot_pd(sign_mask, _mm256_sub_pd(_mm256_loadu_pd(axes[0] + k), q0));
-    d = _mm256_min_pd(_mm256_sub_pd(side_v, d), d);
-    __m256d sum = _mm256_mul_pd(d, d);
-    if constexpr (D >= 2) {
-      d = _mm256_andnot_pd(sign_mask, _mm256_sub_pd(_mm256_loadu_pd(axes[1] + k), q1));
-      d = _mm256_min_pd(_mm256_sub_pd(side_v, d), d);
-      sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
-    }
-    if constexpr (D >= 3) {
-      d = _mm256_andnot_pd(sign_mask, _mm256_sub_pd(_mm256_loadu_pd(axes[2] + k), q2));
-      d = _mm256_min_pd(_mm256_sub_pd(side_v, d), d);
-      sum = _mm256_add_pd(sum, _mm256_mul_pd(d, d));
-    }
-    hits = detail::pack_hits(sum, r2v, k, hits, hit_index, hit_d2);
-  }
-  for (; k < count; ++k) {
-    double sum = 0.0;
-    for (int i = 0; i < D; ++i) {
-      double d = std::abs(axes[static_cast<std::size_t>(i)][k] - q[i]);
-      d = std::min(d, side - d);
-      sum += d * d;
-    }
-    hit_index[hits] = static_cast<std::uint32_t>(k);
-    hit_d2[hits] = sum;
-    hits += static_cast<std::size_t>(!(sum > r2));
-  }
-  return hits;
-}
-
-#endif  // MANET_KERNELS_X86
-
-/// Fused Euclidean in-radius kernel; see the portable variant for the exact
-/// contract. Hits and their d2 bits are identical on every path.
+/// Fused Euclidean in-radius kernel (see the portable variant's section for
+/// the contract). Hits and their d2 bits are identical on every path.
 template <int D>
 inline std::size_t batch_squared_distance_within(const AxisPointers<D>& axes, std::size_t count,
                                                  const double* q, double r2,
@@ -436,7 +413,7 @@ inline std::size_t batch_squared_distance_within(const AxisPointers<D>& axes, st
   return batch_squared_distance_within_portable<D>(axes, count, q, r2, hit_index, hit_d2);
 }
 
-/// Fused torus in-radius kernel; see the portable variant for the contract.
+/// Fused torus in-radius kernel; same contract.
 template <int D>
 inline std::size_t batch_torus_squared_distance_within(const AxisPointers<D>& axes,
                                                        std::size_t count, const double* q,

@@ -514,7 +514,9 @@ TEST(KineticDifferential, OneCellCutOverInGapMatchesBatch1D) {
         RegimeVisits visits;
         run_differential_trace_from<1>(positions, side, mobility, torus, 60, rng, &visits);
         EXPECT_EQ(visits.started_one_cell, gap > 30.0);
-        if (gap > 30.0) EXPECT_TRUE(visits.gridded) << "the trace never crossed the cut-over";
+        if (gap > 30.0) {
+          EXPECT_TRUE(visits.gridded) << "the trace never crossed the cut-over";
+        }
       }
     }
   }
