@@ -344,7 +344,9 @@ void KineticEmstEngine<D>::full_rebuild(std::span<const Point<D>> points,
     } else {
       grid_.for_each_pair_within(radius, collect);
     }
-    sort_candidate_edges(edges_, radius * radius, sort_scratch_);
+    // merged_ is idle outside the step merge and already trades buffers
+    // with edges_, so the pool-sized buffers never mix with the delta's.
+    sort_candidate_edges(edges_, radius * radius, merged_);
     if (run_kruskal()) break;
     MANET_INVARIANT(radius < r_max);  // the complete graph always spans
     radius = std::min(radius * 2.0, r_max);
@@ -541,7 +543,7 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
   // fused into the merge: every emitted candidate is offered to the forest
   // in order until the tree completes, which turns Kruskal's own full read
   // of the pool into reuse of values this loop already holds in registers.
-  sort_candidate_edges(changed_, r2_, sort_scratch_);
+  sort_candidate_edges(changed_, r2_, delta_scratch_);
   merged_.resize(edges_.size() + changed_.size());  // upper bound; trimmed below
   dsu_.reset(n_);
   mst_.clear();

@@ -261,8 +261,8 @@ class KineticEmstEngine {
 
   std::vector<CandidateEdge> edges_;         ///< the invariant candidate set
   std::vector<CandidateEdge> changed_;       ///< recomputed + entering edges, sorted per step
-  std::vector<CandidateEdge> merged_;        ///< merge target, swapped with edges_
-  std::vector<CandidateEdge> sort_scratch_;  ///< scatter scratch for sort_candidate_edges
+  std::vector<CandidateEdge> merged_;         ///< merge target and rebuild-sort scratch
+  std::vector<CandidateEdge> delta_scratch_;  ///< delta-sort scratch, trades with changed_
   std::vector<std::uint32_t> moved_;
   std::vector<std::uint8_t> moved_flag_;
 
