@@ -46,7 +46,7 @@ inline bool candidate_less(const CandidateEdge& a, const CandidateEdge& b) noexc
 /// std::sort sequence. Every edge must satisfy 0 <= d2 <= d2_bound (a bound
 /// that is too small costs speed, never order). Size-adaptive stable LSD
 /// radix: a monotone rescaling of d2 to a key of bit_width(size) + 6 bits
-/// (at most 32), ordered by 1-4 passes of 8-bit digits, then every run of
+/// (at most 24), ordered by 1-3 passes of 8-bit digits, then every run of
 /// equal keys — rare collisions and genuine d2 ties — is re-sorted with the
 /// exact comparator. `scratch` is pooled scatter space; the two vectors may
 /// trade buffers.
