@@ -399,7 +399,7 @@ std::vector<CandidateEdge> make_edges(std::size_t size, Rng& rng, MakeD2&& make_
 
 /// 0, 1, 2, 15-17, 255-257 and 2^k - 1, 2^k, 2^k + 1 up to 2^20: crosses
 /// every change of the key width and of the pass count (at 4 and 2^10; the
-/// key stops widening at 2^18).
+/// key reaches its 24-bit cap at 2^17).
 std::vector<std::size_t> sort_sizes() {
   std::vector<std::size_t> sizes = {0, 1, 2, 15, 16, 17, 255, 256, 257};
   for (int k = 2; k <= 20; ++k) {
