@@ -13,10 +13,14 @@
 // speedup that moves a single bit of the simulation output is a bug, not a
 // speedup. It also counts heap allocations over the second half of the
 // kinetic trace (global operator new replacement): a warm incremental
-// advance() makes 0 (tests/alloc_discipline_test.cpp pins that). The paper
-// drunkard rows rebuild at a doubled radius every few dozen steps, and such
-// a rebuild can still grow a pooled buffer past its earlier high-water mark
-// a few times in the second half.
+// advance() makes 0 (tests/alloc_discipline_test.cpp pins that), and so do
+// its dense solves and pool re-derivations. A rebuild, or a re-derivation
+// at a grown radius, can still grow a pooled buffer past its earlier
+// high-water mark a few times in the second half.
+//
+// The paper rows report how many steps the one-cell engine solved densely
+// (dense_steps: most drunkard steps, few waypoint steps) and how often a
+// repair re-derived the pool a dense step left stale (pool_rederives).
 
 #include <chrono>
 #include <cstdio>
@@ -188,7 +192,8 @@ int main(int argc, char** argv) {
                                      "t_pause = 2000) or paper drunkard (m = 0.01*l)"));
   report.add_param("batch", JsonValue::string("EmstEngine (full re-solve per step)"));
   report.add_param("kinetic",
-                   JsonValue::string("KineticEmstEngine (incremental repair, batch fallback)"));
+                   JsonValue::string("KineticEmstEngine (incremental repair, dense solves at "
+                                     "high churn, batch fallback)"));
 
   for (const TraceConfig& config : sweep) {
     const Box2 box(config.side);
@@ -228,6 +233,8 @@ int main(int argc, char** argv) {
     sample.set("kernel_runs", JsonValue::number(stats.kernel_runs));
     sample.set("distance_evals", JsonValue::number(stats.distance_evals));
     sample.set("delta_pairs", JsonValue::number(stats.delta_pairs));
+    sample.set("dense_steps", JsonValue::number(stats.dense_steps));
+    sample.set("pool_rederives", JsonValue::number(stats.pool_rederives));
     sample.set("steady_state_allocs_second_half", JsonValue::number(kinetic.steady_allocs));
     report.add_sample(std::move(sample));
   }

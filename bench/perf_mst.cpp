@@ -3,21 +3,22 @@
 //
 // Because the whole point of the grid engine is that it changes NOTHING but
 // the running time, the bench re-verifies on every measured point set that
-// both paths produce bitwise-equal bottlenecks (= critical ranges) and
-// equal sorted edge-weight multisets, and exits nonzero on any mismatch —
-// a speedup that moves the simulation output is a bug, not a speedup.
+// both paths produce the same tree edge for edge — endpoints, order and
+// weight bits: both return the unique minimum spanning tree under the
+// strict (d2, u, v) order — and exits nonzero on any mismatch. A speedup
+// that moves the simulation output is a bug, not a speedup.
 //
 // The bench also counts heap allocations (global operator new replacement)
 // during a warm engine solve, reporting the steady-state allocations per
 // mobility-step-equivalent solve; the zero-allocation workspace contract
 // (sim/trace_workspace.hpp) shows up here as 0.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,15 +69,17 @@ double now_seconds() {
       .count();
 }
 
-std::vector<double> sorted_weights(std::span<const WeightedEdge> edges) {
-  std::vector<double> weights;
-  weights.reserve(edges.size());
-  for (const auto& edge : edges) weights.push_back(edge.weight);
-  std::sort(weights.begin(), weights.end());
-  return weights;
-}
-
 bool bitwise_equal(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+bool same_tree(std::span<const WeightedEdge> a, std::span<const WeightedEdge> b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].u != b[i].u || a[i].v != b[i].v || !bitwise_equal(a[i].weight, b[i].weight)) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -117,7 +120,7 @@ int main(int argc, char** argv) {
   report.add_param("l", JsonValue::number(side));
   report.add_param("seed", JsonValue::string(hex_u64(seed)));
   report.add_param("point_sets", JsonValue::number(static_cast<std::size_t>(sets)));
-  report.add_param("dense", JsonValue::string("mst_with_metric (Prim, O(n^2))"));
+  report.add_param("dense", JsonValue::string("dense_emst (SIMD Prim, O(n^2))"));
   report.add_param("grid", JsonValue::string("EmstEngine (filtered Kruskal, adaptive radius)"));
 
   for (std::size_t idx = 0; idx < n_sweep.size(); ++idx) {
@@ -125,6 +128,8 @@ int main(int argc, char** argv) {
     // One engine per n, warmed on the first set: the steady-state timing is
     // what the mobile step loop sees.
     EmstEngine<2> engine;
+    DenseEmstWorkspace<2> dense_workspace;
+    std::vector<WeightedEdge> dense;
     double dense_seconds = 0.0;
     double grid_seconds = 0.0;
     std::size_t rounds = 0;
@@ -138,7 +143,7 @@ int main(int argc, char** argv) {
       const auto points = uniform_deployment(n, box, rng);
 
       const double dense_start = now_seconds();
-      const auto dense = euclidean_mst<2>(points);
+      dense_emst<2, false>(points, side, dense_workspace, dense);
       dense_seconds += now_seconds() - dense_start;
 
       engine.euclidean(points, box);  // warm the pools for this point set
@@ -154,16 +159,7 @@ int main(int argc, char** argv) {
       rounds = engine.stats().rounds;
       candidate_edges = engine.stats().candidate_edges;
 
-      if (!bitwise_equal(tree_bottleneck(dense), tree_bottleneck(grid))) identical = false;
-      const auto dense_w = sorted_weights(dense);
-      const auto grid_w = sorted_weights(grid);
-      if (dense_w.size() != grid_w.size()) {
-        identical = false;
-      } else {
-        for (std::size_t i = 0; i < dense_w.size(); ++i) {
-          if (!bitwise_equal(dense_w[i], grid_w[i])) identical = false;
-        }
-      }
+      if (!same_tree(dense, grid)) identical = false;
     }
 
     dense_seconds /= sets;
@@ -179,7 +175,7 @@ int main(int argc, char** argv) {
     report.add_sample(std::move(sample));
   }
 
-  report.add_extra("bottlenecks_bit_identical", JsonValue::boolean(identical));
+  report.add_extra("trees_identical", JsonValue::boolean(identical));
   report.add_param("manet_metrics", JsonValue::boolean(metrics::compiled_in()));
   if (with_metrics) report.add_extra("metrics", metrics::collect_json());
   std::printf("%s\n", report.dump().c_str());

@@ -11,9 +11,5 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-cmake --preset release
-cmake --build --preset release -j "$(nproc)" --target perf_kinetic
-
-out="results/BENCH_kinetic.json"
-./build/release/bench/perf_kinetic "$@" > "${out}"
-echo "wrote ${out}" >&2
+. scripts/record_baseline_lib.sh
+record_baseline perf_kinetic results/BENCH_kinetic.json "$@"

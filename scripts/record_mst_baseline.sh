@@ -10,9 +10,5 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-cmake --preset release
-cmake --build --preset release -j "$(nproc)" --target perf_mst
-
-out="results/BENCH_mst.json"
-./build/release/bench/perf_mst "$@" > "${out}"
-echo "wrote ${out}" >&2
+. scripts/record_baseline_lib.sh
+record_baseline perf_mst results/BENCH_mst.json "$@"

@@ -10,9 +10,5 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-cmake --preset release
-cmake --build --preset release -j "$(nproc)" --target perf_soa
-
-out="results/BENCH_soa.json"
-./build/release/bench/perf_soa "$@" > "${out}"
-echo "wrote ${out}" >&2
+. scripts/record_baseline_lib.sh
+record_baseline perf_soa results/BENCH_soa.json "$@"

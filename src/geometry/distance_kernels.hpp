@@ -31,6 +31,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define MANET_KERNELS_X86 1
@@ -428,6 +429,174 @@ inline std::size_t batch_torus_squared_distance_within(const AxisPointers<D>& ax
 #endif
   return batch_torus_squared_distance_within_portable<D>(axes, count, q, side, r2, hit_index,
                                                          hit_d2);
+}
+
+// ---------------------------------------------------------------------------
+// Dense Prim pass: one relaxation of a fringe against the node that joined
+// the tree last, fused with the search for the next node to join. The dense
+// EMST solver (topology/emst_grid.hpp) runs one pass per tree edge over a
+// compacted structure-of-arrays fringe, for k in [0, count):
+//
+//   d2 = metric(fringe_k, q)              (the scalar core's exact sequence)
+//   if d2 < best[k]: best[k] = d2, from[k] = source
+//
+// and returns the lowest slot holding the smallest updated best[k]. The pass
+// orders only by d2; the solver's strict (d2, u, v) order also needs the
+// endpoint ids, so `tie` reports every place where d2 alone cannot decide:
+// some d2 == best[k] before the update, or the smallest best[k] held by more
+// than one slot. Without a tie the pass's decisions are exactly the strict
+// order's; with one the solver redoes them in scalar code.
+// ---------------------------------------------------------------------------
+
+/// Outcome of one dense Prim pass.
+struct PrimPass {
+  std::size_t next = 0;  ///< lowest slot of the smallest best[k]
+  bool tie = false;      ///< d2 alone did not decide the pass (see above)
+};
+
+namespace detail {
+
+/// Running state of a pass over slots in ascending order.
+struct PrimFold {
+  double min;
+  std::size_t next;
+  bool relax_tie;
+  bool min_tie;
+};
+
+/// One slot of a pass: relax against the source, then fold best[k] into the
+/// running minimum. Later slots only replace the minimum when strictly
+/// smaller, so the lowest slot of the minimum wins.
+inline void prim_slot(double d2, std::size_t k, std::uint64_t source, double* best,
+                      std::uint64_t* from, PrimFold& fold) noexcept {
+  double b = best[k];
+  fold.relax_tie = fold.relax_tie || d2 == b;
+  if (d2 < b) {
+    b = d2;
+    best[k] = d2;
+    from[k] = source;
+  }
+  if (b < fold.min) {
+    fold.min = b;
+    fold.next = k;
+    fold.min_tie = false;
+  } else if (b == fold.min) {
+    fold.min_tie = true;
+  }
+}
+
+template <int D, bool Torus>
+inline double metric_at(const AxisPointers<D>& axes, std::size_t k, const double* q,
+                        double side) noexcept {
+  if constexpr (Torus) {
+    return torus_squared_distance_at<D>(axes, k, q, side);
+  } else {
+    return squared_distance_at<D>(axes, k, q);
+  }
+}
+
+}  // namespace detail
+
+/// Portable dense Prim pass; `side` is read only under the torus metric.
+template <int D, bool Torus>
+PrimPass dense_prim_pass_portable(const AxisPointers<D>& axes, std::size_t count,
+                                  const double* q, double side, std::uint64_t source,
+                                  double* best, std::uint64_t* from) noexcept {
+  detail::PrimFold fold{std::numeric_limits<double>::infinity(), 0, false, false};
+  for (std::size_t k = 0; k < count; ++k) {
+    detail::prim_slot(detail::metric_at<D, Torus>(axes, k, q, side), k, source, best, from,
+                      fold);
+  }
+  return {fold.next, fold.relax_tie || fold.min_tie};
+}
+
+#if MANET_KERNELS_X86
+
+/// AVX2 dense Prim pass. Each lane relaxes with the scalar comparisons
+/// (_CMP_LT_OQ / _CMP_EQ_OQ are scalar < / ==), the 64-bit from[] entries
+/// move by the same lane mask, and each lane keeps its own minimum, the
+/// lowest slot holding it and whether it repeated. The lanes then fold in
+/// slot order and the scalar tail continues the fold, so next and tie equal
+/// the portable pass's.
+template <int D, bool Torus>
+__attribute__((target("avx2"))) PrimPass dense_prim_pass_avx2(
+    const AxisPointers<D>& axes, std::size_t count, const double* q, double side,
+    std::uint64_t source, double* best, std::uint64_t* from) noexcept {
+  const __m256d q0 = _mm256_set1_pd(q[0]);
+  const __m256d q1 = _mm256_set1_pd(D >= 2 ? q[1] : 0.0);
+  const __m256d q2 = _mm256_set1_pd(D >= 3 ? q[2] : 0.0);
+  const __m256d side_v = _mm256_set1_pd(side);
+  const __m256d source_v = _mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(source)));
+  const __m256i step = _mm256_set1_epi64x(4);
+  __m256i slot = _mm256_setr_epi64x(0, 1, 2, 3);
+  __m256d lane_min = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  __m256d lane_next = _mm256_setzero_pd();  // slot bits, moved as doubles
+  __m256d lane_repeat = _mm256_setzero_pd();
+  __m256d relax_tie = _mm256_setzero_pd();
+  std::size_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    __m256d d2;
+    if constexpr (Torus) {
+      d2 = detail::torus_squared_distance_lanes<D>(axes, k, q0, q1, q2, side_v);
+    } else {
+      d2 = detail::squared_distance_lanes<D>(axes, k, q0, q1, q2);
+    }
+    __m256d b = _mm256_loadu_pd(best + k);
+    relax_tie = _mm256_or_pd(relax_tie, _mm256_cmp_pd(d2, b, _CMP_EQ_OQ));
+    const __m256d closer = _mm256_cmp_pd(d2, b, _CMP_LT_OQ);
+    b = _mm256_blendv_pd(b, d2, closer);
+    _mm256_storeu_pd(best + k, b);
+    __m256i* from_k = reinterpret_cast<__m256i*>(from + k);
+    const __m256d from_v = _mm256_castsi256_pd(_mm256_loadu_si256(from_k));
+    _mm256_storeu_si256(from_k, _mm256_castpd_si256(_mm256_blendv_pd(from_v, source_v, closer)));
+    const __m256d lower = _mm256_cmp_pd(b, lane_min, _CMP_LT_OQ);
+    const __m256d same = _mm256_cmp_pd(b, lane_min, _CMP_EQ_OQ);
+    lane_min = _mm256_blendv_pd(lane_min, b, lower);
+    lane_next = _mm256_blendv_pd(lane_next, _mm256_castsi256_pd(slot), lower);
+    lane_repeat = _mm256_or_pd(_mm256_andnot_pd(lower, lane_repeat), same);
+    slot = _mm256_add_epi64(slot, step);
+  }
+
+  detail::PrimFold fold{std::numeric_limits<double>::infinity(), 0, false, false};
+  if (k > 0) {
+    alignas(32) double mins[4];
+    alignas(32) std::uint64_t nexts[4];
+    _mm256_store_pd(mins, lane_min);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(nexts), _mm256_castpd_si256(lane_next));
+    const int repeats = _mm256_movemask_pd(lane_repeat);
+    fold.relax_tie = _mm256_movemask_pd(relax_tie) != 0;
+    fold.min = std::min(std::min(mins[0], mins[1]), std::min(mins[2], mins[3]));
+    int holders = 0;
+    fold.next = k;
+    for (int lane = 0; lane < 4; ++lane) {
+      if (!(mins[lane] == fold.min)) continue;
+      ++holders;
+      fold.min_tie = fold.min_tie || ((repeats >> lane) & 1) != 0;
+      fold.next = std::min(fold.next, static_cast<std::size_t>(nexts[lane]));
+    }
+    fold.min_tie = fold.min_tie || holders > 1;
+  }
+  for (; k < count; ++k) {
+    detail::prim_slot(detail::metric_at<D, Torus>(axes, k, q, side), k, source, best, from,
+                      fold);
+  }
+  return {fold.next, fold.relax_tie || fold.min_tie};
+}
+
+#endif  // MANET_KERNELS_X86
+
+/// One dense Prim pass (see the section comment); best[], from[] and the
+/// result are identical on every path.
+template <int D, bool Torus>
+inline PrimPass dense_prim_pass(const AxisPointers<D>& axes, std::size_t count, const double* q,
+                                double side, std::uint64_t source, double* best,
+                                std::uint64_t* from) noexcept {
+#if MANET_KERNELS_X86
+  if (cpu_has_avx2()) {
+    return dense_prim_pass_avx2<D, Torus>(axes, count, q, side, source, best, from);
+  }
+#endif
+  return dense_prim_pass_portable<D, Torus>(axes, count, q, side, source, best, from);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Counters shared by every EmstEngine<D> instantiation. One bundle behind a
-/// function-local static so the names are registered exactly once, and the
-/// hot loops below touch nothing heavier than a thread-local add. These are
-/// pure *work* counters — how many rounds/rebuilds the input demanded — so
-/// they are deterministic for a fixed input regardless of thread count.
+/// Counters shared by every EmstEngine<D> instantiation and dense_emst. One
+/// bundle behind a function-local static so the names are registered exactly
+/// once, and the hot loops below touch nothing heavier than a thread-local
+/// add. These are pure *work* counters — how many solves/rounds/rebuilds the
+/// input demanded — so they are deterministic for a fixed input regardless
+/// of thread count. A dense_emst call counts as a solve and a dense fallback
+/// whichever engine made it.
 struct EmstMetrics {
   metrics::Counter solves = metrics::counter("emst.solves");
   metrics::Counter rounds = metrics::counter("emst.doubling_rounds");
@@ -116,51 +118,109 @@ double EmstEngine<D>::initial_radius(std::size_t n, double side) {
   return emst_initial_radius<D>(n, side);
 }
 
-template <int D>
-template <bool Torus>
-void EmstEngine<D>::dense_prim(std::span<const Point<D>> points, double side) {
-  // Same relaxation order and the same squared-distance -> covering_radius
-  // arithmetic as mst_with_metric (topology/mst.hpp), into pooled scratch.
-  const std::size_t n = points.size();
-  stats_.dense_fallback = true;
-  emst_metrics().dense.increment();
-  best_d2_.assign(n, kInf);
-  best_from_.assign(n, 0);
-  in_tree_.assign(n, 0);
+namespace {
 
-  std::size_t current = 0;
-  in_tree_[0] = 1;
-  for (std::size_t added = 1; added < n; ++added) {
-    for (std::size_t v = 0; v < n; ++v) {
-      if (in_tree_[v] != 0) continue;
-      const double d2 = Torus ? torus_squared_distance(points[current], points[v], side)
-                              : squared_distance(points[current], points[v]);
-      if (d2 < best_d2_[v]) {
-        best_d2_[v] = d2;
-        best_from_[v] = current;
-      }
-    }
-    std::size_t next = n;
-    double next_d2 = kInf;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (in_tree_[v] == 0 && best_d2_[v] < next_d2) {
-        next_d2 = best_d2_[v];
-        next = v;
-      }
-    }
-    MANET_ENSURES(next < n);
-    in_tree_[next] = 1;
-    mst_.push_back({best_from_[next], next, covering_radius(next_d2)});
-    current = next;
-  }
-  // The engine's output contract is weight-ascending order (Prim emits in
-  // tree-growth order); ties break on endpoints for determinism.
-  std::sort(mst_.begin(), mst_.end(), [](const WeightedEdge& a, const WeightedEdge& b) {
-    if (a.weight != b.weight) return a.weight < b.weight;
-    if (a.u != b.u) return a.u < b.u;
-    return a.v < b.v;
-  });
+/// True when fringe slot a's edge into the tree precedes slot b's under the
+/// strict (d2, u, v) order.
+bool slot_edge_less(const std::vector<double>& best, const std::vector<std::uint64_t>& from,
+                    const std::vector<std::uint32_t>& id, std::size_t a,
+                    std::size_t b) noexcept {
+  if (best[a] != best[b]) return best[a] < best[b];
+  const std::uint64_t a_lo = std::min<std::uint64_t>(from[a], id[a]);
+  const std::uint64_t b_lo = std::min<std::uint64_t>(from[b], id[b]);
+  if (a_lo != b_lo) return a_lo < b_lo;
+  return std::max<std::uint64_t>(from[a], id[a]) < std::max<std::uint64_t>(from[b], id[b]);
 }
+
+}  // namespace
+
+template <int D, bool Torus>
+void dense_emst(std::span<const Point<D>> points, double side, DenseEmstWorkspace<D>& workspace,
+                std::vector<WeightedEdge>& out) {
+  out.clear();
+  const std::size_t n = points.size();
+  if (n <= 1) return;
+  emst_metrics().solves.increment();
+  emst_metrics().dense.increment();
+
+  // The fringe is kept compact: slot k holds node id[k], and a node that
+  // joins the tree is overwritten by the last slot, so every pass is one
+  // contiguous kernel run over the nodes still outside.
+  PointStore<D>& fringe = workspace.fringe;
+  std::vector<std::uint32_t>& id = workspace.id;
+  std::vector<double>& best = workspace.best;
+  std::vector<std::uint64_t>& from = workspace.from;
+  fringe.assign(points);
+  id.resize(n);
+  for (std::size_t k = 0; k < n; ++k) id[k] = static_cast<std::uint32_t>(k);
+  best.assign(n, kInf);
+  from.assign(n, 0);
+  std::vector<CandidateEdge>& tree = workspace.edges;
+  tree.clear();
+
+  std::array<double, static_cast<std::size_t>(D)> q{};
+  std::uint64_t source = 0;
+  std::size_t count = n;
+  std::size_t joined = 0;  // node 0 starts the tree
+  double d2_bound = 0.0;
+  for (;;) {
+    for (int a = 0; a < D; ++a) {
+      double* axis = fringe.axis(a);
+      q[static_cast<std::size_t>(a)] = axis[joined];
+      axis[joined] = axis[count - 1];
+    }
+    id[joined] = id[count - 1];
+    best[joined] = best[count - 1];
+    from[joined] = from[count - 1];
+    if (--count == 0) break;
+
+    const kernels::AxisPointers<D> axes = fringe.axes();
+    const kernels::PrimPass pass = kernels::dense_prim_pass<D, Torus>(
+        axes, count, q.data(), side, source, best.data(), from.data());
+    joined = pass.next;
+    if (pass.tie) {
+      // Some d2 equalities: the kernel kept the first source on a relaxation
+      // tie and the lowest slot on a minimum tie, which need not be what the
+      // (d2, u, v) order picks. For a fixed fringe node the order between two
+      // equal-d2 tree edges is the order of their tree endpoints, so a tied
+      // relaxation keeps the smaller source; then the minimum is re-chosen
+      // with the full comparison.
+      for (std::size_t k = 0; k < count; ++k) {
+        if (kernels::detail::metric_at<D, Torus>(axes, k, q.data(), side) == best[k] &&
+            source < from[k]) {
+          from[k] = source;
+        }
+      }
+      joined = 0;
+      for (std::size_t k = 1; k < count; ++k) {
+        if (slot_edge_less(best, from, id, k, joined)) joined = k;
+      }
+    }
+    const auto node = static_cast<std::uint32_t>(id[joined]);
+    const auto other = static_cast<std::uint32_t>(from[joined]);
+    tree.push_back({best[joined], std::min(node, other), std::max(node, other)});
+    d2_bound = std::max(d2_bound, best[joined]);
+    source = node;
+  }
+
+  sort_candidate_edges(tree, d2_bound, workspace.scratch);
+  out.reserve(n - 1);
+  for (const CandidateEdge& c : tree) out.push_back({c.u, c.v, covering_radius(c.d2)});
+  MANET_ENSURES(out.size() + 1 == n);
+}
+
+template void dense_emst<1, false>(std::span<const Point<1>>, double, DenseEmstWorkspace<1>&,
+                                   std::vector<WeightedEdge>&);
+template void dense_emst<2, false>(std::span<const Point<2>>, double, DenseEmstWorkspace<2>&,
+                                   std::vector<WeightedEdge>&);
+template void dense_emst<3, false>(std::span<const Point<3>>, double, DenseEmstWorkspace<3>&,
+                                   std::vector<WeightedEdge>&);
+template void dense_emst<1, true>(std::span<const Point<1>>, double, DenseEmstWorkspace<1>&,
+                                  std::vector<WeightedEdge>&);
+template void dense_emst<2, true>(std::span<const Point<2>>, double, DenseEmstWorkspace<2>&,
+                                  std::vector<WeightedEdge>&);
+template void dense_emst<3, true>(std::span<const Point<3>>, double, DenseEmstWorkspace<3>&,
+                                  std::vector<WeightedEdge>&);
 
 template <int D>
 template <bool Torus>
@@ -174,7 +234,6 @@ std::span<const WeightedEdge> EmstEngine<D>::solve(std::span<const Point<D>> poi
   if (n > std::numeric_limits<std::uint32_t>::max()) {
     throw ConfigError("EmstEngine: more than 2^32 points are not supported");
   }
-  emst_metrics().solves.increment();
 
   // The farthest any pair can be: at this radius the candidate graph is
   // complete, so the doubling search always terminates.
@@ -184,10 +243,12 @@ std::span<const WeightedEdge> EmstEngine<D>::solve(std::span<const Point<D>> poi
   if (n < kDenseCutoff || r0 >= 0.5 * side) {
     // Tiny inputs or near-complete candidate graphs: the grid cannot prune
     // enough pairs to pay for itself.
-    dense_prim<Torus>(points, side);
+    stats_.dense_fallback = true;
+    dense_emst<D, Torus>(points, side, dense_, mst_);
     return mst_;
   }
 
+  emst_metrics().solves.increment();
   const Box<D> box(side);
   double radius = std::min(r0, r_max);
   for (;;) {

@@ -9,6 +9,7 @@
 #include "geometry/box.hpp"
 #include "geometry/cell_grid.hpp"
 #include "geometry/point.hpp"
+#include "geometry/point_store.hpp"
 #include "graph/union_find.hpp"
 #include "topology/mst.hpp"
 
@@ -53,6 +54,36 @@ inline bool candidate_less(const CandidateEdge& a, const CandidateEdge& b) noexc
 void sort_candidate_edges(std::vector<CandidateEdge>& edges, double d2_bound,
                           std::vector<CandidateEdge>& scratch);
 
+/// Pooled buffers of dense_emst. Keep one per engine: after the first solve
+/// at a given n, further solves allocate nothing.
+template <int D>
+struct DenseEmstWorkspace {
+  PointStore<D> fringe;              ///< coordinates of the fringe slots (SoA)
+  std::vector<std::uint32_t> id;     ///< node of each fringe slot
+  std::vector<double> best;          ///< smallest d2 from the tree to each slot
+  std::vector<std::uint64_t> from;   ///< tree node at the far end of that d2
+  std::vector<CandidateEdge> edges;  ///< tree edges in growth order, then sorted
+  std::vector<CandidateEdge> scratch;
+};
+
+/// Dense EMST by Prim's algorithm, O(n^2) metric evaluations: the one dense
+/// solver of both EMST engines (this file and topology/emst_kinetic.hpp).
+/// Writes the n-1 tree edges of `points` (empty for n <= 1) into `out`,
+/// under the squared Euclidean metric or, when Torus, the flat-torus metric
+/// on [0, side]^D (`side` is read only then).
+///
+/// Each Prim pass is one kernels::dense_prim_pass over the compacted
+/// fringe. Edges join under the strict (d2, u, v) order of candidate_less,
+/// labelled u < v: a pass the kernel reports as tied is redone in scalar
+/// code with the endpoint ids. The result is sorted with
+/// sort_candidate_edges, so it is edge for edge — endpoints, order, weight
+/// bits — the tree filtered Kruskal accepts from any candidate set holding
+/// all pairs within its bottleneck: the unique minimum spanning tree under
+/// that total order.
+template <int D, bool Torus>
+void dense_emst(std::span<const Point<D>> points, double side, DenseEmstWorkspace<D>& workspace,
+                std::vector<WeightedEdge>& out);
+
 /// Per-solve diagnostics of the adaptive EMST engine, exposed for the perf
 /// bench (bench/perf_mst.cpp) and the property tests.
 struct EmstGridStats {
@@ -75,13 +106,16 @@ struct EmstGridStats {
 /// large fraction of the region side) take the dense Prim fallback, which is
 /// faster there and needs no grid.
 ///
-/// VALUE IDENTITY: the returned tree has exactly the same edge-weight
-/// multiset as the dense path (`mst_with_metric` in topology/mst.hpp) — all
-/// minimum spanning trees of a graph share it — and weights go through the
-/// same squared-distance + covering_radius arithmetic, so every quantity the
-/// simulator derives from the tree (bottleneck / critical radius,
-/// largest-component breakpoint curve, total weight) is bit-identical to the
-/// dense result. The PR 2 golden MTRM checksums are the regression gate.
+/// IDENTITY: both paths return the unique minimum spanning tree under the
+/// strict (d2, u, v) order, sorted the same way, so the grid tree equals the
+/// dense tree (dense_emst) edge for edge — endpoints, order and weight bits.
+/// Against the reference Prim (`mst_with_metric` in topology/mst.hpp), which
+/// labels and orders its edges differently, the edge-weight multiset is the
+/// same — all minimum spanning trees of a graph share it — and weights go
+/// through the same squared-distance + covering_radius arithmetic, so every
+/// quantity the simulator derives from the tree (bottleneck / critical
+/// radius, largest-component breakpoint curve, total weight) is
+/// bit-identical. The golden MTRM checksums are the regression gate.
 ///
 /// The engine is a reusable workspace: the grid, candidate buffer, union-find
 /// and result tree all retain capacity across solves, so a hot loop (one
@@ -121,9 +155,6 @@ class EmstEngine {
   template <bool Torus>
   std::span<const WeightedEdge> solve(std::span<const Point<D>> points, double side);
 
-  template <bool Torus>
-  void dense_prim(std::span<const Point<D>> points, double side);
-
   /// Starting radius of the doubling search: the connectivity threshold
   /// scale l * (log n / n)^(1/D).
   static double initial_radius(std::size_t n, double side);
@@ -134,10 +165,7 @@ class EmstEngine {
   std::vector<CandidateEdge> sort_scratch_;
   std::vector<WeightedEdge> mst_;
   std::vector<double> nn2_;
-  // Dense-fallback scratch (pooled so the fallback is allocation-free too).
-  std::vector<double> best_d2_;
-  std::vector<std::size_t> best_from_;
-  std::vector<char> in_tree_;
+  DenseEmstWorkspace<D> dense_;  ///< dense-fallback scratch, pooled like the rest
   EmstGridStats stats_;
 };
 

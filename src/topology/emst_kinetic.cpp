@@ -31,6 +31,8 @@ struct KineticMetrics {
   metrics::Counter kernel_runs = metrics::counter("kinetic.kernel_runs");
   metrics::Counter distance_evals = metrics::counter("kinetic.distance_evals");
   metrics::Counter delta_pairs = metrics::counter("kinetic.delta_pairs");
+  metrics::Counter dense_steps = metrics::counter("kinetic.dense_steps");
+  metrics::Counter pool_rederives = metrics::counter("kinetic.pool_rederives");
 };
 
 KineticMetrics& kinetic_metrics() {
@@ -324,6 +326,26 @@ bool KineticEmstEngine<D>::run_kruskal() {
 
 template <int D>
 template <bool Torus>
+bool KineticEmstEngine<D>::solve_dense(std::span<const Point<D>> points) {
+  dense_emst<D, Torus>(points, side_, dense_, mst_);
+  ++stats_.dense_steps;
+  kinetic_metrics().dense_steps.increment();
+  if (dense_mode_) return false;
+  pool_stale_ = true;
+  // The stale pool is re-derived at radius_ on the next repaired step; keep
+  // the radius at the snug margin of the latest bottleneck so that pool
+  // most likely spans. Only growth happens here: maybe_shrink lowers it.
+  const double snug = kShrinkTarget * (mst_.empty() ? 0.0 : mst_.back().weight);
+  if (!(snug > radius_)) return false;
+  radius_ = snug;
+  r2_ = snug * snug;
+  stats_.radius = radius_;
+  rebuild_kinetic_grid(points);
+  return true;
+}
+
+template <int D>
+template <bool Torus>
 void KineticEmstEngine<D>::full_rebuild(std::span<const Point<D>> points,
                                         double start_radius) {
   ++stats_.full_rebuilds;
@@ -374,6 +396,7 @@ void KineticEmstEngine<D>::full_rebuild(std::span<const Point<D>> points,
 
   radius_ = radius;
   r2_ = radius * radius;
+  pool_stale_ = false;
   rebuild_kinetic_grid(points);
   prev_.assign(points);
   shrink_streak_ = 0;
@@ -433,17 +456,20 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::start_impl(
   const double r0 = emst_initial_radius<D>(n_, side_);
   dense_mode_ = n_ < kDenseCutoff || r0 >= 0.5 * side_;
   stats_.dense_mode = dense_mode_;
-  if (dense_mode_) {
-    // Delegate to the batch engine wholesale: in the dense regime there is
-    // no grid work to repair, and running the identical code path is what
-    // makes dense results trivially bit-identical.
-    kinetic_metrics().dense.increment();
-    const Box<D> box(side_);
-    return Torus ? batch_.torus(points, side_) : batch_.euclidean(points, box);
-  }
-
   moved_.clear();
   moved_flag_.assign(n_, 0);
+  if (dense_mode_) {
+    // No grid work to repair: every step with a mover is one dense_emst
+    // solve, the batch engine's own dense path, so the trees match it bit
+    // for bit. prev_ is kept only for the move detection.
+    kinetic_metrics().dense.increment();
+    pool_stale_ = false;
+    dense_emst<D, Torus>(points, side_, dense_, mst_);
+    prev_.assign(points);
+    cur_.reserve(n_);
+    return mst_;
+  }
+
   full_rebuild<Torus>(points, r0);
   return mst_;
 }
@@ -454,11 +480,6 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
     std::span<const Point<D>> points) {
   ++stats_.steps;
   kinetic_metrics().steps.increment();
-
-  if (dense_mode_) {
-    const Box<D> box(side_);
-    return Torus ? batch_.torus(points, side_) : batch_.euclidean(points, box);
-  }
 
   // Pass 1: exact moved-node detection against the previous step. The AoS
   // input is gathered into the cur_ SoA store once; the vectorized
@@ -475,6 +496,45 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
   stats_.last_superseded = 0;
   stats_.last_delta = 0;
   if (moved_.empty()) return mst_;  // nothing moved: the tree is still exact
+
+  // Dense solves. cur_ becomes the prev_ baseline of the next step's move
+  // detection either way (an O(1) swap), whatever happens to the pool.
+  //
+  // The one-cell cut-over in movers. A one-cell repair with m movers makes
+  // m kernel runs over all n nodes (priced m * (kScanRunCost + n), as in
+  // rebuild_kinetic_grid), then sorts the delta and merges it into the pool;
+  // dense_emst evaluates n(n-1)/2 pairs whatever m is. A least-squares fit
+  // of per-step times on identical traces run both ways (drunkard, l = n^2,
+  // p_pause 0.1..0.9 so m/n spans 0.08..0.82; n = 32..200 in 2-D, 64..1024
+  // in 3-D; AVX2, 4-vCPU x86-64 VM) against kinetic.kernel_runs,
+  // kinetic.distance_evals and the dense pair count gave ~1.6 ns per scanned
+  // point and ~1.0 ns per dense pair in 2-D: kDensePairCost = 0.6. Left out
+  // of the price, the merge's pass over the pool only makes the rule lean
+  // toward the repair. Replayed on the paired steps, the rule's total time
+  // is 1-9% above always picking the faster path, at every n of both
+  // dimensions; "more than half the nodes moved" is 4-51% above it. In 2-D
+  // at n = 128 the rule goes dense above 28 movers.
+  if (dense_mode_ ||
+      (one_cell_ && static_cast<double>(moved_.size()) * (kScanRunCost + static_cast<double>(n_)) >
+                        kDensePairCost * 0.5 * static_cast<double>(n_) *
+                            static_cast<double>(n_ - 1))) {
+    swap(prev_, cur_);
+    solve_dense<Torus>(points);
+    if (!dense_mode_) maybe_shrink<Torus>(points);
+    return mst_;
+  }
+  if (pool_stale_) {
+    // Re-derive the stale pool: with every node flagged as a mover, pass 3
+    // emits every in-radius pair once, and the merge has no pool entry left
+    // to keep.
+    edges_.clear();
+    std::fill(moved_flag_.begin(), moved_flag_.end(), std::uint8_t{1});
+    moved_.resize(n_);
+    for (std::uint32_t i = 0; i < n_; ++i) moved_[i] = i;
+    pool_stale_ = false;
+    ++stats_.pool_rederives;
+    kinetic_metrics().pool_rederives.increment();
+  }
 
   // Pass 2: re-bin the nodes that crossed a cell boundary. (Harmless before
   // the mass-move decision below: a rebuild re-derives every bin anyway.)
@@ -586,14 +646,20 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
   swap(prev_, cur_);
 
   // A non-spanning candidate graph violates the "radius covers the
-  // bottleneck" assumption: grow batch-style.
+  // bottleneck" assumption: the radius must grow. One cell solves the step
+  // densely, which also sets the radius from the new bottleneck; a grid
+  // rebuilds batch-style at a doubling radius.
   if (missing == 0) {
     ++stats_.incremental_repairs;
     kinetic_metrics().incremental.increment();
   } else {
     ++stats_.radius_growths;
     kinetic_metrics().growths.increment();
-    full_rebuild<Torus>(points, radius_ * 2.0);
+    if (one_cell_) {
+      solve_dense<Torus>(points);
+    } else {
+      full_rebuild<Torus>(points, radius_ * 2.0);
+    }
   }
   maybe_shrink<Torus>(points);
   return mst_;

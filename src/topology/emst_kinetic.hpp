@@ -30,12 +30,14 @@ struct KineticStats {
   std::size_t kernel_runs = 0;         ///< fused distance-kernel runs of the mover scans
   std::size_t distance_evals = 0;      ///< points those runs evaluated
   std::size_t delta_pairs = 0;         ///< mover-incident pairs re-derived, summed over steps
+  std::size_t dense_steps = 0;         ///< advance() trees solved by dense Prim (dense_emst)
+  std::size_t pool_rederives = 0;      ///< repairs that re-derived a stale pool from every node
   std::size_t last_moved = 0;          ///< nodes that moved in the latest step
   std::size_t last_superseded = 0;     ///< mover-incident pool entries dropped in the latest step
   std::size_t last_delta = 0;          ///< mover-incident pairs re-derived by the latest cell scan
   std::size_t candidate_edges = 0;     ///< current candidate-set size
   double radius = 0.0;                 ///< maintained candidate radius
-  bool dense_mode = false;             ///< trace is served by the embedded batch engine
+  bool dense_mode = false;             ///< every step is a dense_emst solve (no pool)
   bool one_cell = false;               ///< the scan grid is one cell (current regime)
 };
 
@@ -95,9 +97,18 @@ void set_kinetic_mode(KineticMode mode) noexcept;
 /// graph stops spanning (the radius must grow), most nodes crossed cell
 /// boundaries at once (teleports, fresh deployments; a one-cell grid has no
 /// boundaries and repairs those steps instead), or the radius is far above
-/// the current bottleneck for long enough (hysteresis shrink). Dense regimes
-/// (n < kDenseCutoff, or an initial radius a large fraction of the region)
-/// delegate every call to an embedded batch EmstEngine.
+/// the current bottleneck for long enough (hysteresis shrink).
+///
+/// Dense solves. In the one-cell regime a repair scans all n nodes once
+/// per mover, so when the movers' scans would cost more than a dense solve
+/// (kDensePairCost) the step is solved from scratch by dense Prim
+/// (dense_emst) instead, and the pool is marked stale; the next repaired step re-derives it by treating
+/// every node as a mover. A one-cell repair that stops spanning is solved
+/// densely too, instead of by a doubling rebuild. After a dense solve the
+/// radius is raised to kShrinkTarget times the tree's bottleneck when that
+/// is larger, so the re-derived pool spans. Dense regimes (n < kDenseCutoff,
+/// or an initial radius a large fraction of the region) solve every step
+/// that moved a node by dense Prim and keep no pool at all.
 ///
 /// BIT-IDENTITY: filtered Kruskal under the strict total order (d2, u, v)
 /// accepts a *unique* spanning tree, and any candidate set that contains all
@@ -107,6 +118,7 @@ void set_kinetic_mode(KineticMode mode) noexcept;
 /// arithmetic, so the kinetic tree — edges, order, and weight bits — equals
 /// the batch tree on every step, and everything derived from it (bottleneck,
 /// weight multiset, breakpoint curves, MTRM checksums) is bit-identical.
+/// dense_emst returns that same tree, so a dense step changes nothing either.
 /// tests/kinetic_differential_test.cpp pins this, including the PR 2/4
 /// golden FNV-1a checksums through the kinetic path.
 ///
@@ -168,6 +180,12 @@ class KineticEmstEngine {
   /// kScanRunCost + n, and bins every node into one cell when the latter is
   /// no dearer. See the derivation at its use.
   static constexpr double kScanRunCost = 46.0;
+  /// One-cell per-step dense choice: the cost of one dense_emst pair
+  /// evaluation in units of a scan kernel's per-point cost. A step whose
+  /// movers' scans cost more than the dense solve's n(n-1)/2 pairs —
+  /// m * (kScanRunCost + n) > kDensePairCost * n(n-1)/2 — is solved by
+  /// dense_emst instead of repaired. See the derivation at its use.
+  static constexpr double kDensePairCost = 0.6;
 
   template <bool Torus>
   std::span<const WeightedEdge> start_impl(std::span<const Point<D>> points, double side);
@@ -180,6 +198,11 @@ class KineticEmstEngine {
   void full_rebuild(std::span<const Point<D>> points, double start_radius);
   /// Kruskal over the (sorted) candidate set; true when the tree spans.
   bool run_kruskal();
+  /// Solves the current step by dense_emst. Outside the dense regimes the
+  /// pool goes stale and the radius rises to kShrinkTarget * bottleneck
+  /// when that is larger; returns true when it rose.
+  template <bool Torus>
+  bool solve_dense(std::span<const Point<D>> points);
   /// Applies the post-step radius hysteresis; may trigger a shrink rebuild.
   template <bool Torus>
   void maybe_shrink(std::span<const Point<D>> points);
@@ -217,11 +240,15 @@ class KineticEmstEngine {
   bool started_ = false;
   bool torus_ = false;
   bool dense_mode_ = false;
+  /// edges_ no longer holds the in-radius pairs of prev_ (a dense solve
+  /// replaced the repair); the next repair re-derives it from every node.
+  bool pool_stale_ = false;
   double side_ = 0.0;
   std::size_t n_ = 0;
 
-  // Maintained candidate radius (repair invariant: edges_ holds exactly the
-  // pairs with d2 <= r2_ at the prev_ positions, sorted by (d2, u, v)).
+  // Maintained candidate radius (repair invariant, unless pool_stale_:
+  // edges_ holds exactly the pairs with d2 <= r2_ at the prev_ positions,
+  // sorted by (d2, u, v)).
   double radius_ = 0.0;
   double r2_ = 0.0;
   std::size_t shrink_streak_ = 0;
@@ -240,8 +267,8 @@ class KineticEmstEngine {
   std::vector<std::uint32_t> cell_cursor_;
   std::vector<std::uint32_t> cell_ids_;
 
-  CellGrid<D> grid_;     ///< full-rebuild enumeration only
-  EmstEngine<D> batch_;  ///< dense-mode delegate (identical dense code path)
+  CellGrid<D> grid_;               ///< full-rebuild enumeration only
+  DenseEmstWorkspace<D> dense_;    ///< dense_emst scratch
 
   // SoA position state (geometry/point_store.hpp). cur_ is the current
   // step's gather; prev_ holds the positions the pool and bins were derived

@@ -19,13 +19,12 @@ struct WeightedEdge {
 
 /// Minimum spanning tree under an arbitrary squared-distance metric, via
 /// dense Prim's algorithm: O(n^2) metric evaluations, O(n) space, no edge
-/// materialization. This is the reference implementation and the fallback
-/// of the grid-accelerated engine (topology/emst_grid.hpp), which selects
-/// it for tiny inputs (n < EmstEngine::kDenseCutoff) and for densities
-/// where the connectivity-threshold radius is so large a fraction of the
-/// region that a spatial grid cannot prune pairs. Hot paths (the mobile
-/// step loop, stationary sampling) go through EmstEngine, whose output is
-/// value-identical to this function; dense Prim additionally supports
+/// materialization. This is the reference implementation. Hot paths (the
+/// mobile step loop, stationary sampling) go through the engines of
+/// topology/emst_grid.hpp and topology/emst_kinetic.hpp, whose own dense
+/// path (dense_emst, for tiny inputs and densities where a spatial grid
+/// cannot prune pairs) is vectorized and orders ties strictly; their output
+/// is value-identical to this function. This one additionally supports
 /// arbitrary metrics and points outside any deployment box.
 ///
 /// `squared_dist` is any symmetric non-negative function of two points (the

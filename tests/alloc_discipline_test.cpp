@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -104,13 +105,21 @@ TEST(AllocDiscipline, MobileTraceStepLoopIsConstantAllocationPerStep) {
   EXPECT_GE(per_step, 1.0);
 }
 
-/// Heap allocations over 200 warm advance() calls of a kinetic trace of n
-/// nodes under `config` on [0, side]^2, after `warm_steps` warm-up steps
-/// that grow every pooled buffer past its high-water mark (including any
-/// radius-growth/shrink rebuilds). `one_cell` receives the scan regime.
-std::size_t count_warm_advance_allocations(std::size_t n, double side,
-                                           const MobilityConfig& config, int warm_steps,
-                                           std::uint64_t seed, bool& one_cell) {
+/// Heap allocations over a window of warm advance() calls, and the engine
+/// stats before and after that window.
+struct AdvanceWindow {
+  std::size_t allocations = 0;
+  KineticStats before;
+  KineticStats after;
+};
+
+/// Counts the heap allocations of 200 warm advance() calls of a kinetic
+/// trace of n nodes under `config` on [0, side]^2, after `warm_steps`
+/// warm-up steps that grow every pooled buffer past its high-water mark
+/// (including any radius-growth/shrink rebuilds).
+AdvanceWindow count_warm_advance_allocations(std::size_t n, double side,
+                                             const MobilityConfig& config, int warm_steps,
+                                             std::uint64_t seed) {
   const Box2 box(side);
   const auto model = make_mobility_model<2>(config, box);
   Rng rng(seed);
@@ -124,7 +133,8 @@ std::size_t count_warm_advance_allocations(std::size_t n, double side,
     kinetic.advance(positions);
   }
   EXPECT_FALSE(kinetic.stats().dense_mode);
-  const std::size_t repairs_before = kinetic.stats().incremental_repairs;
+  AdvanceWindow window;
+  window.before = kinetic.stats();
 
   g_news = 0;
   g_counting = true;
@@ -133,10 +143,9 @@ std::size_t count_warm_advance_allocations(std::size_t n, double side,
     kinetic.advance(positions);
   }
   g_counting = false;
-  EXPECT_GT(kinetic.stats().incremental_repairs, repairs_before)
-      << "measurement window never took the incremental path";
-  one_cell = kinetic.stats().one_cell;
-  return g_news;
+  window.allocations = g_news;
+  window.after = kinetic.stats();
+  return window;
 }
 
 TEST(AllocDiscipline, KineticAdvanceMakesZeroSteadyStateAllocations) {
@@ -148,23 +157,71 @@ TEST(AllocDiscipline, KineticAdvanceMakesZeroSteadyStateAllocations) {
   // allocate here. n = 256 in a 64-wide square keeps a multi-cell scan grid.
   MobilityConfig config = MobilityConfig::paper_waypoint(64.0);
   config.waypoint.p_stationary = 0.5;  // incremental path, never mass-move
-  bool one_cell = true;
-  EXPECT_EQ(count_warm_advance_allocations(256, 64.0, config, 200, 0xA110C2ull, one_cell), 0u)
-      << "a warm kinetic advance() touched the heap";
-  EXPECT_FALSE(one_cell);
+  const AdvanceWindow window = count_warm_advance_allocations(256, 64.0, config, 200, 0xA110C2ull);
+  EXPECT_EQ(window.allocations, 0u) << "a warm kinetic advance() touched the heap";
+  EXPECT_GT(window.after.incremental_repairs, window.before.incremental_repairs)
+      << "measurement window never took the incremental path";
+  EXPECT_FALSE(window.after.one_cell);
 }
 
 TEST(AllocDiscipline, OneCellKineticAdvanceMakesZeroSteadyStateAllocations) {
   // The same discipline in the one-cell scan regime, at a paper point: the
-  // Figure 3 drunkard at n = 64, l = n^2, where most nodes move every step
-  // and radius-growth rebuilds are frequent.
+  // Figure 3 drunkard at n = 64, l = n^2, where most nodes move every step,
+  // so the steps are dense_emst solves.
   const double side = 64.0 * 64.0;
-  bool one_cell = false;
-  EXPECT_EQ(count_warm_advance_allocations(64, side, MobilityConfig::paper_drunkard(side), 1000,
-                                           0xA110C4ull, one_cell),
-            0u)
-      << "a warm one-cell kinetic advance() touched the heap";
-  EXPECT_TRUE(one_cell);
+  const AdvanceWindow window = count_warm_advance_allocations(
+      64, side, MobilityConfig::paper_drunkard(side), 1000, 0xA110C4ull);
+  EXPECT_EQ(window.allocations, 0u) << "a warm one-cell kinetic advance() touched the heap";
+  EXPECT_GT(window.after.dense_steps, window.before.dense_steps)
+      << "measurement window never took the dense path";
+  EXPECT_TRUE(window.after.one_cell);
+}
+
+TEST(AllocDiscipline, MixedDenseAndRepairStepsMakeZeroSteadyStateAllocations) {
+  // One-cell steps of every kind in one window: dense solves (every node
+  // moves), repairs (a few nodes move), the repair that re-derives the stale
+  // pool after a dense step, and growth (a node jumps to the empty far
+  // corner, so the repaired Kruskal cannot span). Nodes stay within 1 of
+  // fixed homes, so the pools stop growing after warm-up, and positions are
+  // edited in place: the loop allocates nothing of its own.
+  const double side = 100.0;
+  const Box2 box(side);
+  Rng rng(0xA110C5ull);
+  const auto homes = uniform_deployment(80, Box2(0.6 * side), rng);
+  auto positions = homes;
+  const auto place = [&](std::size_t i) {
+    for (std::size_t a = 0; a < 2; ++a) {
+      positions[i].coords[a] = homes[i].coords[a] + rng.uniform(-1.0, 1.0);
+    }
+  };
+  const auto cycle = [&](KineticEmstEngine<2>& kinetic, std::size_t outlier) {
+    for (int s = 0; s < 9; ++s) {
+      if (s < 3) {
+        for (std::size_t i = 0; i < positions.size(); ++i) place(i);
+      } else if (s < 8) {
+        place(rng.uniform_index(positions.size()));
+      } else {
+        positions[outlier].coords.fill(0.97 * side);
+      }
+      kinetic.advance(positions);
+    }
+  };
+
+  KineticEmstEngine<2> kinetic;
+  kinetic.start(positions, box);
+  for (std::size_t c = 0; c < 40; ++c) cycle(kinetic, c);
+  const KineticStats before = kinetic.stats();
+  g_news = 0;
+  g_counting = true;
+  for (std::size_t c = 40; c < 56; ++c) cycle(kinetic, c);
+  g_counting = false;
+  const KineticStats& after = kinetic.stats();
+  EXPECT_EQ(g_news, 0u) << "a warm mixed dense/repair window touched the heap";
+  EXPECT_TRUE(after.one_cell);
+  EXPECT_GT(after.dense_steps, before.dense_steps);
+  EXPECT_GT(after.incremental_repairs, before.incremental_repairs);
+  EXPECT_GT(after.pool_rederives, before.pool_rederives);
+  EXPECT_GT(after.radius_growths, before.radius_growths);
 }
 
 TEST(AllocDiscipline, WarmPointStoreOperationsNeverTouchTheHeap) {

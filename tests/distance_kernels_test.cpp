@@ -244,6 +244,122 @@ TEST(BatchWithinRadius, AllAndNoLanesHit) {
   }
 }
 
+// ----- dense Prim pass ----------------------------------------------------
+
+/// Inputs and outputs of one dense_prim_pass call.
+struct PrimPassState {
+  std::vector<double> best;
+  std::vector<std::uint64_t> from;
+  kernels::PrimPass pass;
+};
+
+void expect_same_pass(const PrimPassState& a, const PrimPassState& b, const std::string& label) {
+  EXPECT_EQ(a.pass.next, b.pass.next) << label;
+  EXPECT_EQ(a.pass.tie, b.pass.tie) << label;
+  ASSERT_EQ(a.best.size(), b.best.size()) << label;
+  for (std::size_t k = 0; k < a.best.size(); ++k) {
+    EXPECT_TRUE(bits_equal(a.best[k], b.best[k])) << label << " slot " << k;
+    EXPECT_EQ(a.from[k], b.from[k]) << label << " slot " << k;
+  }
+}
+
+/// The dense Prim pass against a scalar statement of its contract and, when
+/// the CPU has AVX2, the AVX2 variant against the portable one — best[],
+/// from[], next and tie alike. Four fringe states per length: a first pass
+/// (best all +inf), random earlier bests, earlier bests equal to this pass's
+/// exact d2 on every third slot (relaxation ties), and integer lattice
+/// coordinates with small integer bests (ties for the minimum, and d2 == 0
+/// at the query's own lattice point).
+template <int D, bool Torus>
+void check_dense_prim_pass() {
+  Rng rng(7117u + static_cast<std::uint64_t>(D) + (Torus ? 100u : 0u));
+  const double side = 10.0;
+  const std::uint64_t source = 977;
+  for (const std::size_t n : kCounts) {
+    for (int state = 0; state < 4; ++state) {
+      const bool lattice = state == 3;
+      PointStore<D> store = random_store<D>(n, 0.0, side, rng);
+      Point<D> q;
+      for (int i = 0; i < D; ++i) q.coords[static_cast<std::size_t>(i)] = rng.uniform(0.0, side);
+      if (lattice) {
+        for (std::size_t k = 0; k < n; ++k) {
+          Point<D> p = store.get(k);
+          for (double& c : p.coords) c = std::floor(c);
+          store.set(k, p);
+        }
+        for (double& c : q.coords) c = std::floor(c);
+      }
+      const auto metric = [&](std::size_t k) {
+        return Torus ? torus_squared_distance(store.get(k), q, side)
+                     : squared_distance(store.get(k), q);
+      };
+
+      PrimPassState input;
+      input.best.assign(n, std::numeric_limits<double>::infinity());
+      input.from.assign(n, 0);
+      for (std::size_t k = 0; k < n; ++k) {
+        input.from[k] = rng.next_u64() % 1000;
+        if (state == 1) input.best[k] = rng.uniform(0.0, 2.0 * side * side);
+        if (state == 2) input.best[k] = k % 3 == 0 ? metric(k) : rng.uniform(0.0, side * side);
+        if (lattice) input.best[k] = std::floor(rng.uniform(0.0, 8.0));
+      }
+
+      // The contract, slot by slot.
+      PrimPassState expected = input;
+      bool relax_tie = false;
+      for (std::size_t k = 0; k < n; ++k) {
+        const double d2 = metric(k);
+        relax_tie = relax_tie || d2 == expected.best[k];
+        if (d2 < expected.best[k]) {
+          expected.best[k] = d2;
+          expected.from[k] = source;
+        }
+      }
+      std::size_t holders = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (expected.best[k] < expected.best[expected.pass.next]) expected.pass.next = k;
+      }
+      for (std::size_t k = 0; k < n; ++k) {
+        holders += expected.best[k] == expected.best[expected.pass.next] ? 1 : 0;
+      }
+      expected.pass.tie = relax_tie || holders > 1;
+
+      const auto run = [&](auto&& kernel) {
+        PrimPassState out = input;
+        out.pass = kernel(store.axes(), n, q.coords.data(), side, source, out.best.data(),
+                          out.from.data());
+        return out;
+      };
+      const std::string label = "D=" + std::to_string(D) + " torus=" + std::to_string(Torus) +
+                                " n=" + std::to_string(n) + " state=" + std::to_string(state);
+      const PrimPassState portable = run(kernels::dense_prim_pass_portable<D, Torus>);
+      expect_same_pass(portable, expected, label + " portable vs contract");
+      expect_same_pass(run(kernels::dense_prim_pass<D, Torus>), portable,
+                       label + " dispatch vs portable");
+      if (state == 2 && n > 0) EXPECT_TRUE(portable.pass.tie) << label;
+#if MANET_KERNELS_X86
+      if (kernels::cpu_has_avx2()) {
+        expect_same_pass(run(kernels::dense_prim_pass_avx2<D, Torus>), portable,
+                         label + " avx2 vs portable");
+      }
+#endif
+    }
+  }
+}
+
+TEST(DensePrimPass, KernelMatchesContractAndPathsAgree1D) { check_dense_prim_pass<1, false>(); }
+TEST(DensePrimPass, KernelMatchesContractAndPathsAgree2D) { check_dense_prim_pass<2, false>(); }
+TEST(DensePrimPass, KernelMatchesContractAndPathsAgree3D) { check_dense_prim_pass<3, false>(); }
+TEST(DensePrimPass, TorusKernelMatchesContractAndPathsAgree1D) {
+  check_dense_prim_pass<1, true>();
+}
+TEST(DensePrimPass, TorusKernelMatchesContractAndPathsAgree2D) {
+  check_dense_prim_pass<2, true>();
+}
+TEST(DensePrimPass, TorusKernelMatchesContractAndPathsAgree3D) {
+  check_dense_prim_pass<3, true>();
+}
+
 // ----- batch_tuple_not_equal ----------------------------------------------
 
 template <int D>

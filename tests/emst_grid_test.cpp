@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geometry/box.hpp"
@@ -477,6 +479,182 @@ TEST(CandidateSort, DegenerateBoundsCostSpeedNotOrder) {
   expect_sorts_like_std_sort(edges, 2.0, "bound too small");
   const auto zeros = make_edges(300, rng, [](std::size_t) { return 0.0; });
   expect_sorts_like_std_sort(zeros, 0.0, "zero bound");
+}
+
+// --- dense_emst: the strict-order dense solver -----------------------------
+// dense_emst must return the unique tree under the strict (d2, u, v) order,
+// labelled u < v and sorted the same way — the tree filtered Kruskal accepts.
+// The inputs below are built to tie: integer lattices (every lattice edge
+// weighs the same), duplicated points (d2 == 0) and lattices that fill a
+// torus period (wrap edges tie the interior ones). Node ids are shuffled so
+// they do not follow the geometry.
+
+/// All-pairs Kruskal under candidate_less: the strict-order tree in
+/// acceptance order. Shares only the metric and the order with the solvers.
+template <int D, bool Torus>
+std::vector<WeightedEdge> strict_order_kruskal(const std::vector<Point<D>>& points, double side) {
+  std::vector<CandidateEdge> all;
+  const std::size_t n = points.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double d2 = Torus ? torus_squared_distance(points[i], points[j], side)
+                              : squared_distance(points[i], points[j]);
+      all.push_back({d2, static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)});
+    }
+  }
+  std::sort(all.begin(), all.end(), candidate_less);
+  UnionFind dsu(n);
+  std::vector<WeightedEdge> tree;
+  for (const CandidateEdge& e : all) {
+    if (dsu.unite(e.u, e.v)) tree.push_back({e.u, e.v, covering_radius(e.d2)});
+  }
+  return tree;
+}
+
+void expect_same_tree(std::span<const WeightedEdge> want, std::span<const WeightedEdge> got,
+                      const std::string& label) {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].u, got[i].u) << label << " edge " << i;
+    EXPECT_EQ(want[i].v, got[i].v) << label << " edge " << i;
+    EXPECT_EQ(0, std::memcmp(&want[i].weight, &got[i].weight, sizeof(double)))
+        << label << " edge " << i << ": " << want[i].weight << " vs " << got[i].weight;
+  }
+}
+
+/// dense_emst against the all-pairs reference and against EmstEngine, edge
+/// for edge. Returns true when the engine took its grid path.
+template <int D, bool Torus>
+bool check_dense_solver(const std::vector<Point<D>>& points, double side,
+                        const std::string& label) {
+  DenseEmstWorkspace<D> workspace;
+  std::vector<WeightedEdge> dense;
+  dense_emst<D, Torus>(points, side, workspace, dense);
+  expect_same_tree(strict_order_kruskal<D, Torus>(points, side), dense, label + " reference");
+  EmstEngine<D> engine;
+  const auto engine_tree =
+      Torus ? engine.torus(points, side) : engine.euclidean(points, Box<D>(side));
+  expect_same_tree(engine_tree, dense, label + " engine");
+  // A second solve on the warm workspace gives the same tree.
+  std::vector<WeightedEdge> again;
+  dense_emst<D, Torus>(points, side, workspace, again);
+  expect_same_tree(dense, again, label + " warm");
+  return !engine.stats().dense_fallback;
+}
+
+template <int D>
+std::vector<Point<D>> shuffled(std::vector<Point<D>> points, Rng& rng) {
+  for (std::size_t i = points.size(); i > 1; --i) {
+    std::swap(points[i - 1], points[rng.uniform_index(i)]);
+  }
+  return points;
+}
+
+/// Every point of {0, .., k-1}^D, scaled by `spacing`, in shuffled order.
+template <int D>
+std::vector<Point<D>> lattice(std::size_t k, double spacing, Rng& rng) {
+  std::vector<Point<D>> points;
+  std::size_t total = 1;
+  for (int a = 0; a < D; ++a) total *= k;
+  for (std::size_t index = 0; index < total; ++index) {
+    Point<D> p;
+    std::size_t rest = index;
+    for (int a = 0; a < D; ++a) {
+      p.coords[static_cast<std::size_t>(a)] = static_cast<double>(rest % k) * spacing;
+      rest /= k;
+    }
+    points.push_back(p);
+  }
+  return shuffled<D>(std::move(points), rng);
+}
+
+template <int D>
+void check_dense_lattices() {
+  Rng rng(0x1A77u + static_cast<unsigned>(D));
+  // k^D nodes: below the dense cutoff, and above it on the grid path.
+  const std::size_t small_k = D == 1 ? 20 : (D == 2 ? 5 : 3);
+  const std::size_t large_k = D == 1 ? 48 : (D == 2 ? 8 : 4);
+  for (const std::size_t k : {small_k, large_k}) {
+    for (const double spacing : {1.0, 0.1}) {
+      // On the box the lattice sits inside [0, k * spacing]; on the torus of
+      // that side it fills the period, so each wrap edge ties a lattice edge.
+      const double side = static_cast<double>(k) * spacing;
+      const auto points = lattice<D>(k, spacing, rng);
+      const std::string label =
+          "D=" + std::to_string(D) + " k=" + std::to_string(k) + " spacing=" +
+          std::to_string(spacing);
+      const bool box_grid = check_dense_solver<D, false>(points, side, label + " box");
+      const bool torus_grid = check_dense_solver<D, true>(points, side, label + " torus");
+      if (k == large_k) {
+        EXPECT_TRUE(box_grid) << label;
+        EXPECT_TRUE(torus_grid) << label;
+      }
+    }
+  }
+}
+
+TEST(DenseEmst, MatchesStrictOrderKruskalOnLattices1D) { check_dense_lattices<1>(); }
+TEST(DenseEmst, MatchesStrictOrderKruskalOnLattices2D) { check_dense_lattices<2>(); }
+TEST(DenseEmst, MatchesStrictOrderKruskalOnLattices3D) { check_dense_lattices<3>(); }
+
+template <int D>
+void check_dense_duplicates() {
+  Rng rng(0xD0Bu + static_cast<unsigned>(D));
+  const double side = 20.0;
+  for (const std::size_t distinct : {4u, 12u, 40u}) {
+    // Each point appears 1-3 times: d2 == 0 edges, and ties among them.
+    std::vector<Point<D>> points;
+    for (const auto& p : uniform_deployment(distinct, Box<D>(side), rng)) {
+      const std::size_t copies = 1 + rng.uniform_index(3);
+      for (std::size_t c = 0; c < copies; ++c) points.push_back(p);
+    }
+    points = shuffled<D>(std::move(points), rng);
+    const std::string label = "D=" + std::to_string(D) + " n=" + std::to_string(points.size());
+    check_dense_solver<D, false>(points, side, label + " box");
+    check_dense_solver<D, true>(points, side, label + " torus");
+  }
+  // Every point in one place: the whole tree is d2 == 0 ties.
+  const std::vector<Point<D>> stacked(37, uniform_deployment(1, Box<D>(side), rng)[0]);
+  check_dense_solver<D, false>(stacked, side, "stacked box");
+  check_dense_solver<D, true>(stacked, side, "stacked torus");
+}
+
+TEST(DenseEmst, MatchesStrictOrderKruskalOnDuplicatePoints1D) { check_dense_duplicates<1>(); }
+TEST(DenseEmst, MatchesStrictOrderKruskalOnDuplicatePoints2D) { check_dense_duplicates<2>(); }
+TEST(DenseEmst, MatchesStrictOrderKruskalOnDuplicatePoints3D) { check_dense_duplicates<3>(); }
+
+TEST(DenseEmst, MatchesStrictOrderKruskalOnTorusWrapTies) {
+  // Pairs mirrored across the torus seam: the wrap distance of each pair
+  // equals its partner pair's interior distance, so the order between them
+  // comes down to the endpoint ids.
+  Rng rng(0x5EA7u);
+  const double side = 16.0;
+  std::vector<Point2> points;
+  for (std::size_t i = 0; i < 20; ++i) {
+    const double x = std::floor(rng.uniform(0.0, 4.0));
+    const double y = std::floor(rng.uniform(0.0, side));
+    points.push_back({{x, y}});
+    points.push_back({{side - 1.0 - x, y}});
+    points.push_back({{x + 0.5, std::fmod(y + 8.0, side)}});
+  }
+  points = shuffled<2>(std::move(points), rng);
+  check_dense_solver<2, true>(points, side, "seam");
+  check_dense_solver<2, false>(points, side, "seam box");
+}
+
+TEST(DenseEmst, MatchesStrictOrderKruskalOnUniformPoints) {
+  Rng rng(0xC0FFEEu);
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 5u, 31u, 32u, 129u, 300u}) {
+    for (const double side : {1.0, 64.0}) {
+      const auto points2 = uniform_deployment(n, Box2(side), rng);
+      const auto points3 = uniform_deployment(n, Box3(side), rng);
+      const std::string label = "n=" + std::to_string(n) + " side=" + std::to_string(side);
+      check_dense_solver<2, false>(points2, side, label + " 2-D box");
+      check_dense_solver<2, true>(points2, side, label + " 2-D torus");
+      check_dense_solver<3, false>(points3, side, label + " 3-D box");
+      check_dense_solver<3, true>(points3, side, label + " 3-D torus");
+    }
+  }
 }
 
 }  // namespace

@@ -263,11 +263,14 @@ TEST(KineticDifferential, ClusteredDeploymentForcesRadiusGrowthAndMatches) {
   }
 }
 
-TEST(KineticDifferential, StretchingGapForcesIncrementalRadiusGrowthAndMatches) {
-  // Start connected at the initial radius, then pull the two halves apart a
-  // little each step: eventually no candidate edge bridges the gap, the
-  // incremental Kruskal stops spanning mid-trace, and the engine must take
-  // the growth fallback without changing any result.
+/// Starts 80 nodes connected at the initial radius, then pulls the two
+/// halves apart, comparing every step with the batch engine. Each step moves
+/// the nodes whose id is s mod `stride` (every node when stride is 1) by
+/// `stride` * 4 away from the middle, so the gap widens at the same mean
+/// rate whatever the churn. Returns the kinetic stats after `steps` steps
+/// and, in `growths_at_start`, the radius growths start() took.
+KineticStats run_stretching_gap_trace(std::size_t stride, std::size_t steps,
+                                      std::size_t& growths_at_start) {
   const double side = 400.0;
   const Box2 box(side);
   Rng rng(52);
@@ -279,16 +282,36 @@ TEST(KineticDifferential, StretchingGapForcesIncrementalRadiusGrowthAndMatches) 
   EmstEngine<2> batch;
   KineticEmstEngine<2> kinetic;
   expect_trees_identical(batch.euclidean(positions, box), kinetic.start(positions, box), 0);
-  const std::size_t growths_at_start = kinetic.stats().radius_growths;
+  growths_at_start = kinetic.stats().radius_growths;
 
-  for (std::size_t s = 1; s <= 35; ++s) {
-    for (auto& p : positions) {
-      const double drift = p.coords[0] < 200.0 ? -4.0 : 4.0;
+  for (std::size_t s = 1; s <= steps; ++s) {
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      if (i % stride != s % stride) continue;
+      auto& p = positions[i];
+      const double drift = (p.coords[0] < 200.0 ? -4.0 : 4.0) * static_cast<double>(stride);
       p.coords[0] = std::clamp(p.coords[0] + drift, 0.0, side);
     }
     expect_trees_identical(batch.euclidean(positions, box), kinetic.advance(positions), s);
   }
-  EXPECT_GT(kinetic.stats().radius_growths, growths_at_start)
+  return kinetic.stats();
+}
+
+TEST(KineticDifferential, StretchingGapForcesIncrementalRadiusGrowthAndMatches) {
+  // Start connected at the initial radius, then pull the two halves apart a
+  // little each step: eventually no candidate edge bridges the gap. With
+  // every node moving every step the one-cell engine solves those steps
+  // densely (the high-churn path); with an eighth of the nodes moving per
+  // step it repairs them, the repaired Kruskal stops spanning mid-trace, and
+  // the engine must take the growth fallback — without changing any result.
+  std::size_t growths_at_start = 0;
+  const KineticStats all_move = run_stretching_gap_trace(1, 35, growths_at_start);
+  EXPECT_TRUE(all_move.one_cell);
+  EXPECT_EQ(all_move.dense_steps, 35u);
+
+  const KineticStats low_churn = run_stretching_gap_trace(8, 35 * 8, growths_at_start);
+  EXPECT_TRUE(low_churn.one_cell);
+  EXPECT_GT(low_churn.incremental_repairs, 0u);
+  EXPECT_GT(low_churn.radius_growths, growths_at_start)
       << "the separating halves never forced a mid-trace radius growth";
 }
 
@@ -397,6 +420,102 @@ TEST(KineticDifferential, DuplicateAndBoundaryStraddlingPointsMatch) {
       expect_curves_identical<2>(pts.size(), b, k, s);
     }
   }
+}
+
+// --- per-step dense solves ---------------------------------------------------
+// In the one-cell regime a step with enough movers is solved by dense_emst
+// and leaves the pool stale; the next repaired step re-derives it. A
+// repaired step that stops spanning is solved densely too. The trace below
+// cycles through all of these, comparing every step with the batch engine.
+
+/// Cycles of: 3 steps moving every node a little (dense), 5 steps moving
+/// a few nodes (repairs, the first re-deriving the pool), and one step that
+/// sends one bulk node to the empty far corner of the region (a repaired
+/// Kruskal that cannot span: growth). The outlier rejoins the bulk in the
+/// next cycle. Nodes start in the lower 60% of every axis.
+template <int D>
+KineticStats run_churn_cycle_trace(bool torus, std::uint64_t seed) {
+  const double side = 100.0;
+  const Box<D> box(side);
+  Rng rng(seed);
+  auto positions = uniform_deployment(80, Box<D>(0.6 * side), rng);
+  const auto jiggle = [&](Point<D>& p, double amount) {
+    for (double& c : p.coords) c = std::clamp(c + rng.uniform(-amount, amount), 0.0, 0.6 * side);
+  };
+
+  EmstEngine<D> batch;
+  KineticEmstEngine<D> kinetic;
+  const auto solve_batch = [&] {
+    return torus ? batch.torus(positions, side) : batch.euclidean(positions, box);
+  };
+  expect_trees_identical(solve_batch(),
+                         torus ? kinetic.start_torus(positions, side) : kinetic.start(positions, box),
+                         0);
+  EXPECT_TRUE(kinetic.stats().one_cell);
+  std::size_t step = 0;
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    for (int s = 0; s < 9; ++s) {
+      if (s < 3) {
+        for (auto& p : positions) jiggle(p, 1.0);
+      } else if (s < 8) {
+        for (int j = 0; j < 3; ++j) jiggle(positions[rng.uniform_index(positions.size())], 1.0);
+      } else {
+        positions[static_cast<std::size_t>(cycle)].coords.fill(0.97 * side);
+      }
+      if (s == 0 && cycle > 0) jiggle(positions[static_cast<std::size_t>(cycle - 1)], 0.0);
+      const auto b = solve_batch();
+      const auto k = kinetic.advance(positions);
+      expect_trees_identical(b, k, ++step);
+      expect_curves_identical<D>(positions.size(), b, k, step);
+    }
+  }
+  return kinetic.stats();
+}
+
+template <int D>
+void check_churn_cycles() {
+  for (const bool torus : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "D=" << D << " torus=" << torus);
+    const KineticStats stats = run_churn_cycle_trace<D>(torus, 90 + D);
+    EXPECT_TRUE(stats.one_cell);
+    EXPECT_GE(stats.dense_steps, 18u) << "every node moving should solve densely";
+    EXPECT_GT(stats.pool_rederives, 0u) << "no repair re-derived a stale pool";
+    EXPECT_GT(stats.incremental_repairs, stats.pool_rederives);
+    EXPECT_GT(stats.radius_growths, 0u) << "the far-corner outlier never forced a growth";
+    EXPECT_EQ(stats.full_rebuilds, 1u) << "one-cell growth must not rebuild batch-style";
+  }
+}
+
+TEST(KineticDifferential, ChurnCyclesMixDenseStepsAndRederivedRepairs2D) {
+  check_churn_cycles<2>();
+}
+
+TEST(KineticDifferential, ChurnCyclesMixDenseStepsAndRederivedRepairs3D) {
+  check_churn_cycles<3>();
+}
+
+TEST(KineticDifferential, DenseModeStepWithoutMoversReturnsTheSameTree) {
+  // n below the dense cutoff: every step is a dense solve, except one where
+  // no node moved, which must hand back the previous tree unchanged.
+  const double side = 50.0;
+  const Box2 box(side);
+  Rng rng(77);
+  auto positions = uniform_deployment(KineticEmstEngine<2>::kDenseCutoff - 2, box, rng);
+  EmstEngine<2> batch;
+  KineticEmstEngine<2> kinetic;
+  expect_trees_identical(batch.euclidean(positions, box), kinetic.start(positions, box), 0);
+  ASSERT_TRUE(kinetic.stats().dense_mode);
+  for (auto& p : positions) p.coords[0] = std::clamp(p.coords[0] + 0.5, 0.0, side);
+  const auto moved = kinetic.advance(positions);
+  expect_trees_identical(batch.euclidean(positions, box), moved, 1);
+  const std::vector<WeightedEdge> before(moved.begin(), moved.end());
+  EXPECT_EQ(kinetic.stats().dense_steps, 1u);
+
+  const auto still = kinetic.advance(positions);
+  EXPECT_EQ(kinetic.stats().last_moved, 0u);
+  EXPECT_EQ(kinetic.stats().dense_steps, 1u) << "a step without movers was solved again";
+  expect_trees_identical(before, still, 2);
+  expect_trees_identical(batch.euclidean(positions, box), still, 2);
 }
 
 TEST(KineticDifferential, RandomizedConfigSweep) {

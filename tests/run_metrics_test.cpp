@@ -227,11 +227,16 @@ TEST(RunMetricsDeterminism, GoldenChecksumsUnmovedAndCountersThreadInvariant) {
   set_kinetic_mode(KineticMode::kForceOn);
   const MtrmConfig waypoint = experiments::waypoint_experiment(256.0, Preset::kQuick);
   const MtrmConfig drunkard = experiments::drunkard_experiment(256.0, Preset::kQuick);
-  // n = 16 at l = 256 is below the kinetic engine's dense cutoff; this
-  // l = 1024 (n = 32) drunkard runs its incremental path, so the scan and
-  // delta counters (kinetic.kernel_runs, .distance_evals, .delta_pairs) and
-  // the mass-move counter are compared across thread counts as well.
+  // n = 16 at l = 256 is below the kinetic engine's dense cutoff. The
+  // l = 1024 (n = 32) drunkard moves most nodes every step, so its one-cell
+  // steps are dense solves (kinetic.dense_steps); the l = 4096 (n = 64)
+  // waypoint settles into low churn after its start-up transient, so it
+  // also repairs (the scan and delta counters kinetic.kernel_runs,
+  // .distance_evals, .delta_pairs) and re-derives the pool its dense steps
+  // left stale (kinetic.pool_rederives). All of them, and the mass-move
+  // counter, are compared across thread counts as well.
   const MtrmConfig kinetic_drunkard = experiments::drunkard_experiment(1024.0, Preset::kQuick);
+  const MtrmConfig kinetic_waypoint = experiments::waypoint_experiment(4096.0, Preset::kQuick);
 
   const auto run_at = [&](std::size_t threads) {
     metrics::reset();
@@ -239,6 +244,7 @@ TEST(RunMetricsDeterminism, GoldenChecksumsUnmovedAndCountersThreadInvariant) {
     const std::uint64_t w = mtrm_checksum(waypoint, 20020623);
     const std::uint64_t d = mtrm_checksum(drunkard, 20020623);
     mtrm_checksum(kinetic_drunkard, 20020623);
+    mtrm_checksum(kinetic_waypoint, 20020623);
     // The MTRM path never bisects (its thresholds are exact order
     // statistics); run a small MC bisection too so the threshold.* counters
     // are exercised at both thread counts.
@@ -286,6 +292,8 @@ TEST(RunMetricsDeterminism, GoldenChecksumsUnmovedAndCountersThreadInvariant) {
   EXPECT_GT(snap1.counter_value("kinetic.distance_evals"),
             snap1.counter_value("kinetic.kernel_runs"));
   EXPECT_GT(snap1.counter_value("kinetic.delta_pairs"), 0u);
+  EXPECT_GT(snap1.counter_value("kinetic.dense_steps"), 0u);
+  EXPECT_GT(snap1.counter_value("kinetic.pool_rederives"), 0u);
   // Registered, and thread-invariant like the rest, even while it reads 0.
   const auto& names = snap1.counters;
   EXPECT_TRUE(std::any_of(names.begin(), names.end(), [](const metrics::SnapshotCounter& c) {
