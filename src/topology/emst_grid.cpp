@@ -196,7 +196,7 @@ void dense_emst(std::span<const Point<D>> points, double side, DenseEmstWorkspac
         if (slot_edge_less(best, from, id, k, joined)) joined = k;
       }
     }
-    const auto node = static_cast<std::uint32_t>(id[joined]);
+    const std::uint32_t node = id[joined];
     const auto other = static_cast<std::uint32_t>(from[joined]);
     tree.push_back({best[joined], std::min(node, other), std::max(node, other)});
     d2_bound = std::max(d2_bound, best[joined]);

@@ -326,22 +326,21 @@ bool KineticEmstEngine<D>::run_kruskal() {
 
 template <int D>
 template <bool Torus>
-bool KineticEmstEngine<D>::solve_dense(std::span<const Point<D>> points) {
+void KineticEmstEngine<D>::solve_dense(std::span<const Point<D>> points) {
   dense_emst<D, Torus>(points, side_, dense_, mst_);
   ++stats_.dense_steps;
   kinetic_metrics().dense_steps.increment();
-  if (dense_mode_) return false;
+  if (dense_mode_) return;
   pool_stale_ = true;
   // The stale pool is re-derived at radius_ on the next repaired step; keep
   // the radius at the snug margin of the latest bottleneck so that pool
   // most likely spans. Only growth happens here: maybe_shrink lowers it.
   const double snug = kShrinkTarget * (mst_.empty() ? 0.0 : mst_.back().weight);
-  if (!(snug > radius_)) return false;
+  if (!(snug > radius_)) return;
   radius_ = snug;
   r2_ = snug * snug;
   stats_.radius = radius_;
   rebuild_kinetic_grid(points);
-  return true;
 }
 
 template <int D>
@@ -463,10 +462,8 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::start_impl(
     // solve, the batch engine's own dense path, so the trees match it bit
     // for bit. prev_ is kept only for the move detection.
     kinetic_metrics().dense.increment();
-    pool_stale_ = false;
     dense_emst<D, Torus>(points, side_, dense_, mst_);
     prev_.assign(points);
-    cur_.reserve(n_);
     return mst_;
   }
 
@@ -497,9 +494,6 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
   stats_.last_delta = 0;
   if (moved_.empty()) return mst_;  // nothing moved: the tree is still exact
 
-  // Dense solves. cur_ becomes the prev_ baseline of the next step's move
-  // detection either way (an O(1) swap), whatever happens to the pool.
-  //
   // The one-cell cut-over in movers. A one-cell repair with m movers makes
   // m kernel runs over all n nodes (priced m * (kScanRunCost + n), as in
   // rebuild_kinetic_grid), then sorts the delta and merges it into the pool;
@@ -514,10 +508,13 @@ std::span<const WeightedEdge> KineticEmstEngine<D>::advance_impl(
   // is 1-9% above always picking the faster path, at every n of both
   // dimensions; "more than half the nodes moved" is 4-51% above it. In 2-D
   // at n = 128 the rule goes dense above 28 movers.
-  if (dense_mode_ ||
-      (one_cell_ && static_cast<double>(moved_.size()) * (kScanRunCost + static_cast<double>(n_)) >
-                        kDensePairCost * 0.5 * static_cast<double>(n_) *
-                            static_cast<double>(n_ - 1))) {
+  const auto nodes = static_cast<double>(n_);
+  const bool dense_is_cheaper =
+      one_cell_ && static_cast<double>(moved_.size()) * (kScanRunCost + nodes) >
+                       kDensePairCost * 0.5 * nodes * (nodes - 1.0);
+  if (dense_mode_ || dense_is_cheaper) {
+    // cur_ becomes the next step's move-detection baseline whatever happens
+    // to the pool: an O(1) swap, as after a repair.
     swap(prev_, cur_);
     solve_dense<Torus>(points);
     if (!dense_mode_) maybe_shrink<Torus>(points);

@@ -200,9 +200,9 @@ class KineticEmstEngine {
   bool run_kruskal();
   /// Solves the current step by dense_emst. Outside the dense regimes the
   /// pool goes stale and the radius rises to kShrinkTarget * bottleneck
-  /// when that is larger; returns true when it rose.
+  /// when that is larger.
   template <bool Torus>
-  bool solve_dense(std::span<const Point<D>> points);
+  void solve_dense(std::span<const Point<D>> points);
   /// Applies the post-step radius hysteresis; may trigger a shrink rebuild.
   template <bool Torus>
   void maybe_shrink(std::span<const Point<D>> points);
