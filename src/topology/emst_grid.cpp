@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 
+#include "geometry/torus.hpp"
 #include "support/contracts.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
@@ -185,11 +186,12 @@ void dense_emst(std::span<const Point<D>> points, double side, DenseEmstWorkspac
       // equal-d2 tree edges is the order of their tree endpoints, so a tied
       // relaxation keeps the smaller source; then the minimum is re-chosen
       // with the full comparison.
+      const Point<D>& last = points[source];
       for (std::size_t k = 0; k < count; ++k) {
-        if (kernels::detail::metric_at<D, Torus>(axes, k, q.data(), side) == best[k] &&
-            source < from[k]) {
-          from[k] = source;
-        }
+        const Point<D>& node = points[id[k]];
+        const double d2 = Torus ? torus_squared_distance(node, last, side)
+                                : squared_distance(node, last);
+        if (d2 == best[k] && source < from[k]) from[k] = source;
       }
       joined = 0;
       for (std::size_t k = 1; k < count; ++k) {
